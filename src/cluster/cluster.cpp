@@ -520,15 +520,29 @@ std::uint64_t Cluster::audit_invariants() {
                         [&](const raft::LogEntry& e) { checker_.audit_log_entry(id, e); });
     }
   }
-  const NodeId leader = current_leader();
-  if (leader != kNoNode) {
+  // Leader completeness, judged only when the leader holds the maximum live
+  // term: a stale leader just resumed from a pause still believes it leads,
+  // but a newer majority may have committed past its log.
+  if (service_available(*this)) {
+    const NodeId leader = current_leader();
     checker_.audit_leader_coverage(leader, nodes_[index_of(leader)]->last_log_index());
   }
+  // Applied-prefix equality, in place: each running replica against the
+  // first running replica that applied the same prefix.
+  const auto running = [this](std::size_t i) -> const raft::RaftNode* {
+    const raft::RaftNode* n = roster_[i] == kNoNode ? nullptr : nodes_[i].get();
+    return n != nullptr && n->running() ? n : nullptr;
+  };
   for (std::size_t i = 0; i < roster_.size(); ++i) {
-    const NodeId id = roster_[i];
-    raft::RaftNode* n = id == kNoNode ? nullptr : nodes_[i].get();
-    if (n == nullptr || !n->running()) continue;
-    checker_.audit_applied_state(id, n->last_applied(), state_machines_[i]->snapshot());
+    const raft::RaftNode* n = running(i);
+    if (n == nullptr) continue;
+    for (std::size_t j = 0; j < i; ++j) {
+      const raft::RaftNode* first = running(j);
+      if (first == nullptr || first->last_applied() != n->last_applied()) continue;
+      checker_.audit_applied_state(roster_[j], *state_machines_[j], roster_[i],
+                                   *state_machines_[i], n->last_applied());
+      break;
+    }
   }
   return checker_.count();
 }

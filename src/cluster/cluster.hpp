@@ -200,8 +200,9 @@ class Cluster {
   [[nodiscard]] raft::InvariantChecker& checker() noexcept { return checker_; }
 
   /// End-of-trial deep audit: every live log entry vs the commit table,
-  /// leader completeness, applied-prefix equality. Returns the checker's
-  /// total violation count (streaming + audit).
+  /// leader completeness (when a leader holds the maximum live term),
+  /// applied-prefix equality. Returns the checker's total violation count
+  /// (streaming + audit).
   std::uint64_t audit_invariants();
 
   /// Per-server crash-point injector (nullptr when fault injection is off).

@@ -50,8 +50,7 @@ struct CostModel {
 
 class PerfModel final : public raft::Observer {
  public:
-  explicit PerfModel(CostModel cost, Duration bin = 5s, std::size_t max_nodes = 128)
-      : cost_(cost), bin_(bin), busy_(max_nodes) {
+  explicit PerfModel(CostModel cost, Duration bin = 5s) : cost_(cost), bin_(bin) {
     DYNA_EXPECTS(bin > Duration{0});
   }
 
@@ -68,7 +67,7 @@ class PerfModel final : public raft::Observer {
   /// CPU percentage for `node` in the bin containing time `t`
   /// (100 == one core fully busy).
   [[nodiscard]] double cpu_percent_at(NodeId node, TimePoint t) const {
-    const auto& bins = busy_[static_cast<std::size_t>(node)];
+    const auto& bins = bins_of(node);
     const std::size_t idx = bin_index(t);
     if (idx >= bins.size()) return 0.0;
     return 100.0 * to_sec(bins[idx]) / to_sec(bin_);
@@ -77,7 +76,7 @@ class PerfModel final : public raft::Observer {
   /// Full CPU% time series for a node (one point per bin midpoint).
   [[nodiscard]] metrics::TimeSeries cpu_series(NodeId node, const std::string& name) const {
     metrics::TimeSeries series(name);
-    const auto& bins = busy_[static_cast<std::size_t>(node)];
+    const auto& bins = bins_of(node);
     for (std::size_t i = 0; i < bins.size(); ++i) {
       const double mid = (static_cast<double>(i) + 0.5) * to_sec(bin_);
       series.push_sec(mid, 100.0 * to_sec(bins[i]) / to_sec(bin_));
@@ -87,7 +86,7 @@ class PerfModel final : public raft::Observer {
 
   [[nodiscard]] Duration total_busy(NodeId node) const {
     Duration total{0};
-    for (const Duration d : busy_[static_cast<std::size_t>(node)]) total += d;
+    for (const Duration d : bins_of(node)) total += d;
     return total;
   }
 
@@ -98,8 +97,20 @@ class PerfModel final : public raft::Observer {
     return static_cast<std::size_t>(t.time_since_epoch().count() / bin_.count());
   }
 
+  /// Bins of `node`; empty (all readers report 0) for an id never charged.
+  [[nodiscard]] const std::vector<Duration>& bins_of(NodeId node) const {
+    static const std::vector<Duration> kNone;
+    const auto slot = static_cast<std::size_t>(node);
+    return slot < busy_.size() ? busy_[slot] : kNone;
+  }
+
+  /// Grows busy_ to cover any global NodeId: a shared-substrate group's
+  /// servers sit at node_base and beyond, not at 0..servers.
   void charge(NodeId node, Duration cost, TimePoint when) {
-    auto& bins = busy_[static_cast<std::size_t>(node)];
+    DYNA_EXPECTS(node >= 0);
+    const auto slot = static_cast<std::size_t>(node);
+    if (busy_.size() <= slot) busy_.resize(slot + 1);
+    auto& bins = busy_[slot];
     const std::size_t idx = bin_index(when);
     if (bins.size() <= idx) bins.resize(idx + 1, Duration{0});
     bins[idx] += cost;
@@ -151,7 +162,7 @@ class PerfModel final : public raft::Observer {
 
   CostModel cost_;
   Duration bin_;
-  std::vector<std::vector<Duration>> busy_;  // [node][bin] accumulated work
+  std::vector<std::vector<Duration>> busy_;  // [node id][bin] accumulated work
 };
 
 }  // namespace dyna::cluster

@@ -156,6 +156,13 @@ class KvStateMachine final : public StateMachine {
   [[nodiscard]] std::size_t size() const noexcept { return data_.size(); }
   [[nodiscard]] const Store& data() const noexcept { return data_; }
 
+  /// Exact state equality: same revision, same (key, value) set. Agrees with
+  /// comparing snapshot() bytes (that encoding is injective) but needs no
+  /// sort and no allocation — replicas are compared in place.
+  [[nodiscard]] friend bool operator==(const KvStateMachine& a, const KvStateMachine& b) {
+    return a.revision_ == b.revision_ && a.data_ == b.data_;
+  }
+
   /// Empty store, revision 0 — a brand-new replica. Keeps the hash table's
   /// bucket array (trial reuse).
   void reset_for_trial() {

@@ -18,17 +18,24 @@
 //   * Every entry still in any node's log at a committed index must match the
 //     commit table (log matching across the cluster's final state).
 //   * The current leader's log+snapshot must cover every committed index
-//     (leader completeness).
-//   * Replicas with equal last_applied must have byte-identical state-machine
-//     serializations (applied-prefix equality).
+//     (leader completeness), judged only when that leader holds the
+//     maximum live term.
+//   * Replicas with equal last_applied must hold equal state machines
+//     (applied-prefix equality), compared in place — no serialization.
 //
-// The fingerprint is 64-bit FNV-1a over (term, payload, config-change kind
-// and target) with the low bit forced to 1 so 0 means "unset"; a divergent
-// commit escaping detection needs a 63-bit collision.
+// The fingerprint hashes the payload with std::hash<std::string_view> (8
+// bytes per step), then folds in term, config-change kind and target, each
+// through a bijective xor-multiply step, and forces the low bit to 1 so 0
+// means "unset"; a divergent commit escaping detection needs a 63-bit
+// collision. Every replica hashes its own bytes of every entry twice — once
+// at apply, once in the audit — so a shared or cached copy cannot vouch for
+// a replica's log.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -94,14 +101,14 @@ class InvariantChecker final : public Observer {
     }
   }
 
-  /// Applied-prefix equality: replicas at the same last_applied must agree on
-  /// the serialized state machine.
-  void audit_applied_state(NodeId node, LogIndex last_applied, const std::string& serialized) {
-    const auto it = state_by_applied_.find(last_applied);
-    if (it == state_by_applied_.end()) {
-      state_by_applied_.emplace(last_applied, std::pair<NodeId, std::string>{node, serialized});
-    } else if (it->second.second != serialized) {
-      record("applied-prefix equality: nodes " + std::to_string(it->second.first) + " and " +
+  /// Applied-prefix equality: `node` applied the same prefix (`last_applied`)
+  /// as `first`, so their state machines must compare equal. The comparison
+  /// is the machine's own exact operator== — in place, O(state), no copy.
+  template <class Machine>
+  void audit_applied_state(NodeId first, const Machine& first_state, NodeId node,
+                           const Machine& state, LogIndex last_applied) {
+    if (!(state == first_state)) {
+      record("applied-prefix equality: nodes " + std::to_string(first) + " and " +
              std::to_string(node) + " diverge at last_applied " + std::to_string(last_applied));
     }
   }
@@ -118,7 +125,6 @@ class InvariantChecker final : public Observer {
     leader_by_term_.clear();
     applied_watermark_.clear();
     committed_.clear();
-    state_by_applied_.clear();
     violations_.clear();
     count_ = 0;
     max_committed_ = 0;
@@ -126,20 +132,14 @@ class InvariantChecker final : public Observer {
 
   /// 64-bit fingerprint of a log entry's identity (exposed for tests).
   [[nodiscard]] static std::uint64_t fingerprint(const LogEntry& entry) noexcept {
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    const auto mix = [&h](std::uint64_t v) {
-      for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (8 * i)) & 0xFF;
-        h *= 0x100000001b3ULL;
-      }
+    std::uint64_t h = std::hash<std::string_view>{}(entry.command.payload);
+    const auto fold = [&h](std::uint64_t v) {
+      h = (h ^ v) * 0x9E3779B97F4A7C15ULL;
+      h ^= h >> 32;
     };
-    mix(static_cast<std::uint64_t>(entry.term));
-    mix(static_cast<std::uint64_t>(entry.command.config_change));
-    mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(entry.command.config_target)));
-    for (const char c : entry.command.payload) {
-      h ^= static_cast<unsigned char>(c);
-      h *= 0x100000001b3ULL;
-    }
+    fold(static_cast<std::uint64_t>(entry.term));
+    fold(static_cast<std::uint64_t>(entry.command.config_change));
+    fold(static_cast<std::uint64_t>(static_cast<std::int64_t>(entry.command.config_target)));
     return h | 1;
   }
 
@@ -167,7 +167,6 @@ class InvariantChecker final : public Observer {
   std::unordered_map<NodeId, LogIndex> applied_watermark_;
   /// Index-keyed fingerprints of applied entries; 0 = unset.
   std::vector<std::uint64_t> committed_;
-  std::unordered_map<LogIndex, std::pair<NodeId, std::string>> state_by_applied_;
   std::vector<Violation> violations_;
   std::uint64_t count_ = 0;
   LogIndex max_committed_ = 0;

@@ -4,7 +4,12 @@
 // including post-restart replay, which rewinds a node's apply watermark.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "cluster/cluster.hpp"
+#include "common/rng.hpp"
+#include "kvstore/command.hpp"
+#include "kvstore/state_machine.hpp"
 #include "raft/invariant_checker.hpp"
 #include "test_support.hpp"
 
@@ -22,6 +27,14 @@ LogEntry make_entry(raft::LogIndex index, raft::Term term, std::string payload) 
   e.term = term;
   e.command.payload = std::move(payload);
   return e;
+}
+
+std::string put(std::string key, std::string value) {
+  return kv::encode(kv::KvCommand{kv::Op::Put, std::move(key), std::move(value), {}});
+}
+
+std::string del(std::string key) {
+  return kv::encode(kv::KvCommand{kv::Op::Del, std::move(key), {}, {}});
 }
 
 // ---- Streaming checks -------------------------------------------------------------
@@ -87,6 +100,25 @@ TEST(InvariantChecker, FingerprintCoversTermPayloadAndConfigChange) {
   EXPECT_EQ(h & 1, 1u);  // 0 is reserved for "unset"
 }
 
+TEST(InvariantChecker, FingerprintChangesOnAnySingleByteFlip) {
+  // Lengths 0..40 cover whole 8-byte words and every tail length.
+  for (std::size_t len = 0; len <= 40; ++len) {
+    std::string payload;
+    for (std::size_t i = 0; i < len; ++i) payload.push_back(static_cast<char>('a' + i % 26));
+    const std::uint64_t h = InvariantChecker::fingerprint(make_entry(1, 3, payload));
+    EXPECT_NE(h, InvariantChecker::fingerprint(make_entry(1, 3, payload + '\0')))
+        << "len " << len;
+    for (std::size_t pos = 0; pos < len; ++pos) {
+      for (const unsigned mask : {0x01u, 0x80u, 0xFFu}) {
+        std::string flipped = payload;
+        flipped[pos] = static_cast<char>(static_cast<unsigned char>(flipped[pos]) ^ mask);
+        EXPECT_NE(h, InvariantChecker::fingerprint(make_entry(1, 3, flipped)))
+            << "len " << len << " pos " << pos << " mask " << mask;
+      }
+    }
+  }
+}
+
 // ---- End-of-trial audit helpers ---------------------------------------------------
 
 TEST(InvariantChecker, AuditLogEntryFlagsCorruptedFollowerLog) {
@@ -108,13 +140,95 @@ TEST(InvariantChecker, AuditLeaderCoverageFlagsTruncatedLeader) {
 }
 
 TEST(InvariantChecker, AuditAppliedStateFlagsDivergedReplicas) {
+  kv::KvStateMachine a, b, c;
+  for (kv::KvStateMachine* m : {&a, &b, &c}) (void)m->apply(put("k", "v"));
   InvariantChecker chk;
-  chk.audit_applied_state(1, 7, "state-A");
-  chk.audit_applied_state(2, 7, "state-A");
-  chk.audit_applied_state(3, 6, "state-earlier");  // different prefix: fine
+  chk.audit_applied_state(1, a, 2, b, 7);
   EXPECT_TRUE(chk.ok());
-  chk.audit_applied_state(4, 7, "state-B");
+  (void)c.apply_one(del("k"));
+  (void)c.apply_one(put("k", "w"));
+  chk.audit_applied_state(1, a, 3, c, 7);
   EXPECT_EQ(chk.count(), 1u);
+}
+
+// One random op script per key; interleaving the scripts differently yields
+// equal states (same revision, same pairs) with different insertion orders.
+struct KeyScripts {
+  std::vector<std::vector<std::string>> per_key;
+
+  KeyScripts(Rng& rng, std::size_t keys) : per_key(keys) {
+    for (std::size_t k = 0; k < keys; ++k) {
+      const std::string key = "key-" + std::to_string(k);
+      const std::size_t ops = 1 + rng.uniform_index(6);
+      for (std::size_t i = 0; i < ops; ++i) {
+        per_key[k].push_back(rng.bernoulli(0.3) ? del(key)
+                                                : put(key, std::to_string(rng.uniform_index(4))));
+      }
+    }
+  }
+
+  /// One random interleaving that keeps each key's own op order.
+  [[nodiscard]] std::vector<std::string> interleave(Rng& rng) const {
+    std::vector<std::size_t> next(per_key.size(), 0);
+    std::vector<std::string> out;
+    for (;;) {
+      std::vector<std::size_t> open;
+      for (std::size_t k = 0; k < per_key.size(); ++k) {
+        if (next[k] < per_key[k].size()) open.push_back(k);
+      }
+      if (open.empty()) return out;
+      const std::size_t k = open[rng.uniform_index(open.size())];
+      out.push_back(per_key[k][next[k]++]);
+    }
+  }
+};
+
+/// Apply `ops`, round-tripping the machine through snapshot/restore after
+/// the first `cut` of them.
+kv::KvStateMachine replay(const std::vector<std::string>& ops, std::size_t cut) {
+  kv::KvStateMachine m;
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    if (i == cut) {
+      const std::string blob = m.snapshot();
+      m.restore(blob);
+    }
+    (void)m.apply_one(ops[i]);
+  }
+  return m;
+}
+
+TEST(InvariantChecker, InPlaceStateComparisonAgreesWithSnapshotBytes) {
+  const auto agrees = [](const kv::KvStateMachine& x, const kv::KvStateMachine& y) {
+    return (x == y) == (x.snapshot() == y.snapshot());
+  };
+  Rng rng = testutil::test_rng(2024);
+  for (int trial = 0; trial < 300; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const KeyScripts scripts(rng, 1 + rng.uniform_index(12));
+    const auto ops_a = scripts.interleave(rng);
+    const auto ops_b = scripts.interleave(rng);
+    const kv::KvStateMachine a = replay(ops_a, rng.uniform_index(ops_a.size() + 1));
+    const kv::KvStateMachine b = replay(ops_b, rng.uniform_index(ops_b.size() + 1));
+    ASSERT_TRUE(a == b);
+    ASSERT_TRUE(agrees(a, b));
+
+    // Same revision, one value differs.
+    kv::KvStateMachine ax = a, by = b;
+    (void)ax.apply_one(put("key-0", "x"));
+    (void)by.apply_one(put("key-0", "y"));
+    EXPECT_FALSE(ax == by);
+    EXPECT_TRUE(agrees(ax, by));
+    // One more PUT: revision and possibly data differ.
+    EXPECT_FALSE(a == ax);
+    EXPECT_TRUE(agrees(a, ax));
+    // Same (key, value) pairs, revision + 2.
+    kv::KvStateMachine bumped = b;
+    (void)bumped.apply_one(put("scratch", "v"));
+    (void)bumped.apply_one(del("scratch"));
+    ASSERT_EQ(bumped.data(), a.data());
+    EXPECT_FALSE(a == bumped);
+    EXPECT_TRUE(agrees(a, bumped));
+  }
 }
 
 TEST(InvariantChecker, ClearResetsEverything) {
@@ -200,6 +314,56 @@ TEST(InvariantCluster, CheckerSurvivesTrialReset) {
   ASSERT_TRUE(c->await_leader(30s));
   c->sim().run_for(1s);
   EXPECT_EQ(c->audit_invariants(), 0u);
+}
+
+TEST(InvariantCluster, ExtraPutOnOneFollowerIsOneAppliedPrefixViolation) {
+  auto c = start_cluster(cluster::make_raft_config(5, 31));
+  const NodeId leader = c->current_leader();
+  for (int i = 0; i < 10; ++i) {
+    raft::Command cmd;
+    cmd.payload = put("k" + std::to_string(i), "v");
+    ASSERT_TRUE(c->node(leader).submit(std::move(cmd)).has_value());
+  }
+  c->sim().run_for(2s);
+  const auto ids = c->server_ids();
+  for (const NodeId id : ids) {
+    ASSERT_EQ(c->node(id).last_applied(), c->node(leader).last_applied()) << "node " << id;
+  }
+  ASSERT_EQ(c->audit_invariants(), 0u);
+
+  // The last follower in roster order is compared once, against the first
+  // replica; tampering it must yield exactly one violation.
+  const NodeId victim = ids.back() != leader ? ids.back() : ids[ids.size() - 2];
+  (void)c->state_machine(victim).apply(put("extra", "x"));
+  EXPECT_EQ(c->audit_invariants(), 1u);
+  ASSERT_EQ(c->checker().violations().size(), 1u);
+  EXPECT_NE(c->checker().violations()[0].what.find("applied-prefix equality"), std::string::npos)
+      << c->checker().violations()[0].what;
+}
+
+TEST(InvariantCluster, StaleResumedLeaderIsNotAuditedForCompleteness) {
+  auto c = start_cluster(cluster::make_raft_config(5, 37));
+  const NodeId stale = c->current_leader();
+  c->pause(stale);
+  ASSERT_TRUE(c->await_leader(30s));
+  const NodeId successor = c->current_leader();
+  ASSERT_NE(successor, stale);
+  for (int i = 0; i < 5; ++i) {
+    raft::Command cmd;
+    cmd.payload = put("k" + std::to_string(i), "v");
+    ASSERT_TRUE(c->node(successor).submit(std::move(cmd)).has_value());
+  }
+  c->sim().run_for(1s);
+  ASSERT_GT(c->checker().max_committed(), c->node(stale).last_log_index());
+
+  // Nobody leads the newest term; the stale leader resumes and, until it
+  // hears from a newer-term peer, still believes it leads its old term.
+  c->pause(successor);
+  c->resume(stale);
+  ASSERT_EQ(c->current_leader(), stale);
+  ASSERT_LT(c->node(stale).term(), c->node(successor).term());
+  EXPECT_EQ(c->audit_invariants(), 0u);
+  for (const auto& v : c->checker().violations()) ADD_FAILURE() << v.what;
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 
 #include "cluster/perf_model.hpp"
 #include "cluster/service_queue.hpp"
+#include "shard/sharded_cluster.hpp"
 #include "sim/simulator.hpp"
 
 namespace dyna::cluster {
@@ -118,6 +119,38 @@ TEST(PerfModel, CpuSeriesCoversAllBins) {
   const auto series = perf.cpu_series(0, "node0");
   ASSERT_EQ(series.points().size(), 5u);  // bins 0..4
   EXPECT_GT(series.points().back().value, 0.0);
+}
+
+TEST(PerfModel, ChargesAnyNodeIdAndReadsZeroForUnseenIds) {
+  CostModel cost;
+  cost.heartbeat_send = 1ms;
+  cost.per_byte = Duration{0};
+  PerfModel perf(cost, 1s);
+  perf.on_message_sent(300, 0, raft::MsgKind::Heartbeat, 0, kSimEpoch);
+  EXPECT_EQ(perf.total_busy(300), 1ms);
+  EXPECT_EQ(perf.total_busy(299), Duration{0});
+  EXPECT_EQ(perf.total_busy(5000), Duration{0});
+  EXPECT_DOUBLE_EQ(perf.cpu_percent_at(5000, kSimEpoch), 0.0);
+  EXPECT_TRUE(perf.cpu_series(5000, "unseen").points().empty());
+}
+
+TEST(PerfModel, SharedSubstrateGroupAboveNodeId128IsCharged) {
+  // 27 groups x 5 servers: the last group's servers are network ids 130..134,
+  // past any fixed-size per-node table sized for one cluster.
+  shard::ShardedConfig cfg;
+  cfg.shards = 27;
+  cfg.group = make_raft_low_config(5, 11);
+  cfg.group.perf_cost = CostModel{};
+  shard::ShardedCluster sc(cfg);
+  ASSERT_TRUE(sc.await_all_leaders(30s));
+  sc.sim().run_for(1s);
+  Cluster& last = sc.shard(26);
+  ASSERT_EQ(last.node_base(), 130);
+  ASSERT_NE(last.perf(), nullptr);
+  for (const NodeId id : last.server_ids()) {
+    EXPECT_GT(last.perf()->total_busy(id), Duration{0}) << "node " << id;
+  }
+  EXPECT_EQ(last.perf()->total_busy(0), Duration{0});  // another group's node
 }
 
 }  // namespace
