@@ -102,7 +102,8 @@ Row run_cell(const BenchParams& p, const std::string& phase, bool group_commit,
   row.max_cmds = max_cmds;
   row.get_ratio = mix.get_ratio;
 
-  wl::ClosedLoopPool pool(c, mix, c.fork_rng(0xF16B));
+  shard::ShardRouter router(1);
+  wl::ClosedLoopPool pool(c, router, mix, c.fork_rng(0xF16B));
   row.mix = pool.run();
   c.sim().run_for(2s);  // drain replication so follower state converges
 

@@ -317,31 +317,26 @@ void Cluster::build_node(NodeId id, bool as_learner) {
   // index) and reads the config through `this`, so one installation serves
   // every trial of a reused substrate — no per-trial std::function rebuild.
   if (!net_->has_handler(id)) {
-    net_->set_handler(id, [this, id, idx](NodeId from, const net::Message& payload) {
+    net_->set_handler(id, [this, idx](NodeId from, const net::Message& payload) {
       raft::RaftNode* n = nodes_[idx].get();
       if (n == nullptr || !n->running()) return;
       const raft::Message* msg = payload.raft();
       if (msg == nullptr) return;
-      if (std::holds_alternative<raft::ClientRequest>(*msg) &&
-          (cfg_.grouped_service() || cfg_.request_service_time > Duration{0})) {
+      if (std::holds_alternative<raft::ClientRequest>(*msg) && cfg_.grouped_service()) {
+        // Client requests pass through the CPU before reaching consensus. A
+        // ReadIndex-eligible read never joins a log round — it pays only the
+        // per-command cost (the fast path is the point). Everything else
+        // shares grouped rounds.
         auto deliver = [this, idx, from, m = *msg] {
           raft::RaftNode* alive = nodes_[idx].get();
           if (alive != nullptr && alive->running()) alive->handle_message(from, m);
         };
-        if (cfg_.grouped_service()) {
-          // Batch-aware CPU: a ReadIndex-eligible read never joins a log
-          // round — it pays only the per-command cost (the fast path is the
-          // point). Everything else shares grouped rounds.
-          const auto& payload = std::get<raft::ClientRequest>(*msg).command.payload;
-          if (cfg_.raft.read_index && kv::is_read_only(payload)) {
-            service_[idx]->enqueue(cfg_.command_service_time, std::move(deliver));
-          } else {
-            service_[idx]->enqueue_command(std::move(deliver));
-          }
-          return;
+        const auto& payload = std::get<raft::ClientRequest>(*msg).command.payload;
+        if (cfg_.raft.read_index && kv::is_read_only(payload)) {
+          service_[idx]->enqueue(cfg_.command_service_time, std::move(deliver));
+        } else {
+          service_[idx]->enqueue_command(std::move(deliver));
         }
-        // Client requests pass through the CPU before reaching consensus.
-        service_[idx]->enqueue(service_time_for(id), std::move(deliver));
         return;
       }
       n->handle_message(from, *msg);
@@ -350,8 +345,6 @@ void Cluster::build_node(NodeId id, bool as_learner) {
 
   nodes_[idx]->start();
 }
-
-Duration Cluster::service_time_for(NodeId /*id*/) const { return cfg_.request_service_time; }
 
 raft::RaftNode& Cluster::node(NodeId id) {
   auto* n = node_if_alive(id);

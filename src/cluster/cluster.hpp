@@ -45,17 +45,14 @@ struct ClusterConfig {
   /// Transport/stall knobs (retransmit model, CPU-contention stalls).
   net::Network::Config transport{};
 
-  /// When > 0, client requests pass through a per-server FIFO CPU with this
-  /// service time before reaching Raft (throughput experiments).
-  Duration request_service_time{0};
-
-  /// Batch-aware CPU cost split (grouped model): serving a round of k
-  /// coalesced client commands costs round_service_time +
-  /// k·command_service_time. Active once either is > 0 (and then takes the
-  /// client-request path over the flat request_service_time model). The
-  /// round size cap and whether commands coalesce at all mirror the raft
-  /// group-commit knobs (raft.max_batch_commands / raft.group_commit), so
-  /// the CPU model and the consensus batching tell one story.
+  /// Client-request CPU (throughput experiments): when either is > 0, client
+  /// requests pass through a per-server FIFO CPU before reaching Raft, and
+  /// serving a round of k coalesced commands costs round_service_time +
+  /// k·command_service_time. The round size cap and whether commands
+  /// coalesce at all mirror the raft group-commit knobs
+  /// (raft.max_batch_commands / raft.group_commit), so the CPU model and the
+  /// consensus batching tell one story; with group commit off every request
+  /// is its own round of round_service_time + command_service_time.
   Duration round_service_time{0};
   Duration command_service_time{0};
 
@@ -223,7 +220,6 @@ class Cluster {
   void arm_injector(std::size_t idx);
   [[nodiscard]] bool owns_substrate() const noexcept { return owned_sim_ != nullptr; }
   [[nodiscard]] std::size_t index_of(NodeId id) const;
-  [[nodiscard]] Duration service_time_for(NodeId id) const;
   [[nodiscard]] GroupCostModel group_model() const;
 
   ClusterConfig cfg_;

@@ -7,16 +7,15 @@
 // beyond 1/service_time therefore builds a genuine backlog, which is what
 // bends the latency curve and pins peak throughput.
 //
-// Two cost models share the server:
-//   * flat       — enqueue(service_time, done): one job, one occupancy.
-//   * grouped    — enqueue_command(done): a *round* of up to max_commands
-//                  coalesced commands costs per_round + k·per_command. This
-//                  is what makes group commit genuinely pay: the fixed
-//                  per-round cost (request parsing epilogue, log append,
-//                  replication bookkeeping) amortizes across the batch,
-//                  so saturated peak moves from 1/(R+C) toward 1/C.
-//                  With coalesce=false every command is its own round —
-//                  the honest unbatched baseline under the same cost split.
+// One cost model serves client requests — enqueue_command(done): a *round*
+// of up to max_commands coalesced commands costs per_round + k·per_command.
+// This is what makes group commit genuinely pay: the fixed per-round cost
+// (request parsing epilogue, log append, replication bookkeeping) amortizes
+// across the batch, so saturated peak moves from 1/(R+C) toward 1/C. With
+// coalesce=false every command is its own round of R + C — the honest
+// unbatched baseline under the same cost split, and Fig 5's per-request CPU
+// (R = 0). enqueue(service_time, done) admits one job of a given occupancy
+// (ReadIndex reads pay per_command alone).
 #pragma once
 
 #include <algorithm>
@@ -118,8 +117,8 @@ class ServiceQueue {
     if (pending_.empty()) return;
     const TimePoint now = sim_->now();
     if (next_free_ > now) {
-      // A flat job slipped in ahead of us (the two models share the server):
-      // try again when it frees up.
+      // A single job slipped in ahead of us (enqueue shares the server): try
+      // again when it frees up.
       schedule_round(next_free_);
       return;
     }

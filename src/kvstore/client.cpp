@@ -183,6 +183,7 @@ void KvClient::complete(std::uint64_t seq, bool ok, std::string value) {
   if (p.timeout_event != sim::kInvalidEvent) sim_->cancel(p.timeout_event);
   if (ok) {
     ++completed_;
+    if (leader_listener_) leader_listener_(target_);
   } else {
     ++failed_;
   }

@@ -70,6 +70,13 @@ class KvClient {
     target_ = leader;
   }
 
+  /// Called with the server an op ended on each time one succeeds, before
+  /// the op's own completion — how shard::ShardedKvClient feeds the router's
+  /// leader cache without wrapping (and allocating) every op's callback.
+  void set_leader_listener(std::function<void(NodeId)> listener) {
+    leader_listener_ = std::move(listener);
+  }
+
   /// Drop a server removed from the cluster (membership churn): it leaves
   /// the retry rotation, and if it was the current target the client rotates
   /// immediately instead of timing out against a dead endpoint. At least one
@@ -135,6 +142,7 @@ class KvClient {
   Config config_;
   NodeId endpoint_;
   NodeId target_;  ///< server currently believed to be the leader
+  std::function<void(NodeId)> leader_listener_;
   std::uint64_t next_seq_ = 1;
   /// Pending table: flat, open-addressed on `seq & (capacity-1)`. Sequence
   /// numbers are dense and mostly-FIFO, so the direct slot is almost always

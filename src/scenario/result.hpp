@@ -48,8 +48,8 @@ struct SamplePoint {
   friend bool operator==(const SamplePoint&, const SamplePoint&) = default;
 };
 
-/// Per-shard slice of a sharded run (ScenarioSpec::shards > 1): one row per
-/// consensus group with its health and its share of the workload.
+/// Per-shard slice of a run on a sharded deployment: one row per consensus
+/// group with its health and its share of the workload.
 struct ShardSample {
   std::size_t shard = 0;
   std::size_t servers = 0;         ///< group size (== spec servers)
@@ -89,7 +89,7 @@ struct ScenarioResult {
   std::vector<wl::MixResult> mix;  ///< closed-loop pool result (0 or 1 entry)
   std::vector<PathSample> paths;
   NodeId paths_leader = kNoNode;  ///< leader when `paths` was recorded
-  std::vector<ShardSample> shard_stats;  ///< one per group when shards > 1
+  std::vector<ShardSample> shard_stats;  ///< one per group of a sharded deployment
 
   // ---- Run counters (measurement window = warm-up end .. run end) ----
   std::size_t elections = 0;       ///< elections started in the window

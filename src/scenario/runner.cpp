@@ -48,7 +48,6 @@ cluster::ClusterConfig build_config(const ScenarioSpec& spec, std::size_t server
   if (spec.raft_tick) cfg.raft.tick = *spec.raft_tick;
   if (spec.snapshot_threshold) cfg.raft.snapshot_threshold = *spec.snapshot_threshold;
   if (spec.snapshot_trailing) cfg.raft.snapshot_trailing = *spec.snapshot_trailing;
-  cfg.request_service_time = spec.request_service_time;
   cfg.round_service_time = spec.round_service_time;
   cfg.command_service_time = spec.command_service_time;
   if (spec.group_commit) cfg.raft.group_commit = *spec.group_commit;
@@ -63,25 +62,38 @@ cluster::ClusterConfig build_config(const ScenarioSpec& spec, std::size_t server
   return cfg;
 }
 
+shard::ShardedConfig build_sharded_config(const ScenarioSpec& spec) {
+  shard::ShardedConfig cfg;
+  cfg.shards = spec.shards;
+  cfg.partition = spec.partition_mode;
+  cfg.group = build_config(spec, spec.servers, spec.seed);
+  return cfg;
+}
+
 // ---- Internal strategies ----------------------------------------------------------
 
 /// The paper's §IV-B1 procedure: repeatedly freeze the leader ("container
 /// sleep"), read detection / OTS instants from the probe's event stream,
-/// revive, repeat.
-std::vector<FailoverSample> run_failovers(cluster::Cluster& c, const FaultPlan& plan) {
+/// revive, repeat. Kill i lands on group i mod k, so every group's failover
+/// path runs and the sample count still matches the plan.
+std::vector<FailoverSample> run_failovers(const shard::DeploymentView& d,
+                                          const FaultPlan& plan) {
   std::vector<FailoverSample> samples;
   samples.reserve(plan.kills);
 
-  // Multi-machine measurement noise (AWS experiment): each server's log
-  // timestamps carry a fixed NTP offset.
-  if (plan.clock_skew_ms) {
-    Rng skew_rng = c.fork_rng(0x5C1E);
-    for (const NodeId id : c.server_ids()) {
-      c.probe().set_clock_offset(id, from_ms(skew_rng.normal(0.0, *plan.clock_skew_ms)));
-    }
-  }
-
   for (std::size_t kill = 0; kill < plan.kills; ++kill) {
+    cluster::Cluster& c = d.group(kill % d.groups());
+
+    // Multi-machine measurement noise (AWS experiment): each server's log
+    // timestamps carry a fixed NTP offset, set just before its group's
+    // first kill.
+    if (plan.clock_skew_ms && kill < d.groups()) {
+      Rng skew_rng = c.fork_rng(0x5C1E);
+      for (const NodeId id : c.server_ids()) {
+        c.probe().set_clock_offset(id, from_ms(skew_rng.normal(0.0, *plan.clock_skew_ms)));
+      }
+    }
+
     FailoverSample sample;
 
     if (!c.await_leader(plan.max_wait)) {
@@ -236,28 +248,18 @@ std::vector<PathSample> record_paths(cluster::Cluster& c, NodeId leader) {
 }
 
 /// The per-pair topology layers applied on top of the compiled config (the
-/// link-table state Cluster::reset deliberately clears between trials).
-void apply_topology(cluster::Cluster& c, const ScenarioSpec& spec) {
-  if (spec.topology.wan) {
-    DYNA_EXPECTS(spec.topology.wan->size() >= spec.servers);
-    spec.topology.wan->apply(c.network());
-  }
-  for (const auto& o : spec.topology.overrides) {
-    c.network().set_link_schedule(o.from, o.to, o.schedule);
-  }
-}
-
-/// Sharded variant: every group gets its own copy of the spec topology at
-/// its node base (overrides are group-local ids).
-void apply_topology_sharded(shard::ShardedCluster& sc, const ScenarioSpec& spec) {
-  for (std::size_t g = 0; g < sc.shards(); ++g) {
-    const NodeId base = sc.shard(g).node_base();
+/// link-table state a reset deliberately clears between trials). Every group
+/// gets its own copy at its node base: WAN positions and override ids are
+/// group-local.
+void apply_topology(const shard::DeploymentView& d, const ScenarioSpec& spec) {
+  for (std::size_t g = 0; g < d.groups(); ++g) {
+    const NodeId base = d.group(g).node_base();
     if (spec.topology.wan) {
       DYNA_EXPECTS(spec.topology.wan->size() >= spec.servers);
-      spec.topology.wan->apply(sc.network(), base);
+      spec.topology.wan->apply(d.network(), base);
     }
     for (const auto& o : spec.topology.overrides) {
-      sc.network().set_link_schedule(base + o.from, base + o.to, o.schedule);
+      d.network().set_link_schedule(base + o.from, base + o.to, o.schedule);
     }
   }
 }
@@ -386,12 +388,149 @@ std::size_t run_membership_churn(cluster::Cluster& c, const FaultPlan& plan) {
   return completed;
 }
 
+/// Group g's slice of a sharded run's counters.
+ShardSample shard_sample(cluster::Cluster& c, std::size_t g, std::size_t servers,
+                         const std::vector<wl::ShardOps>& ops, double window_sec) {
+  ShardSample s;
+  s.shard = g;
+  s.servers = servers;
+  s.leader_elected = c.current_leader() != kNoNode;
+  if (!ops.empty()) {
+    s.completed = ops[g].completed;
+    s.failed = ops[g].failed;
+  }
+  if (window_sec > 0.0) s.achieved_rps = static_cast<double>(s.completed) / window_sec;
+  for (const NodeId id : c.server_ids()) {
+    if (auto* n = c.node_if_alive(id); n != nullptr) {
+      s.applied = std::max(s.applied, static_cast<std::uint64_t>(n->last_applied()));
+    }
+  }
+  return s;
+}
+
+/// The run shape, written once for every deployment: await every group's
+/// leader, warm up, then run the workload / fault / sampling plans and
+/// collect counters summed over the groups. Semantics that depend on the
+/// deployment, all stated here:
+///   * partition-window ids are network ids across the whole deployment;
+///   * membership churn needs a standalone deployment (it provisions fresh
+///     endpoints, which a shared substrate's fixed tiled geometry cannot
+///     grow mid-trial);
+///   * kill i lands on group i mod k; rolling restarts visit the groups in
+///     order (they share one simulator, so each group's sweep runs against
+///     live traffic from the others);
+///   * timeline samples and path telemetry read group 0;
+///   * shard_stats holds one row per group of every sharded deployment
+///     (k >= 1) and stays empty for a standalone one.
+ScenarioResult run_deployment(const shard::DeploymentView& d, const ScenarioSpec& spec) {
+  spec.faults.validate(d.groups() * spec.servers);
+  if (spec.faults.churn && !d.standalone()) {
+    throw std::runtime_error("ScenarioRunner: membership churn requires a standalone cluster");
+  }
+
+  ScenarioResult r;
+  r.scenario = spec.name;
+  r.servers = spec.servers;  // per-group size
+  r.seed = spec.seed;
+  r.variant = d.group(0).config().name;  // factory-supplied configs keep their own name
+
+  r.leader_elected = d.await_leaders(spec.await_leader);
+  if (!r.leader_elected) {
+    for (std::size_t g = 0; g < d.groups(); ++g) {
+      cluster::Cluster& c = d.group(g);
+      r.timer_expiries += c.probe().timeouts().size();
+      r.invariant_violations += c.audit_invariants();
+      r.crash_firings += c.fault_firings();
+    }
+    r.sim_seconds = to_sec(d.sim().now());
+    return r;
+  }
+  d.sim().run_for(spec.warmup);
+
+  if (spec.sample_paths) {
+    r.paths_leader = d.group(0).current_leader();
+    r.paths = record_paths(d.group(0), r.paths_leader);
+  }
+
+  const TimePoint measure_start = d.sim().now();
+  schedule_partition_windows(d.sim(), d.network(), spec.faults);
+
+  std::vector<wl::ShardOps> shard_ops;  // per group; sized only when a workload runs
+  if (spec.workload.enabled) {
+    // One router serves the whole workload; it publishes discovered leaders
+    // as it goes. Fixed RNG stream ids keep the trace a pure function of
+    // (config, master seed); the closed-loop id is fresh so the open-loop
+    // streams keep their pre-scenario-API Fig 5 values.
+    shard::ShardRouter router = d.make_router();
+    if (spec.workload.kind == WorkloadPlan::Kind::ClosedLoop) {
+      wl::ClosedLoopPool pool(d, router, spec.workload.mix, d.fork_rng(0xC10D));
+      r.mix.push_back(pool.run());
+      shard_ops = pool.per_shard();
+    } else {
+      shard::ShardedKvClient client(d, router, d.fork_rng(0xC11E47));
+      wl::OpenLoopRamp ramp(d, client, spec.workload.ramp, d.fork_rng(0x10AD));
+      r.levels = ramp.run();
+      shard_ops.resize(d.groups());
+      for (std::size_t g = 0; g < d.groups(); ++g) {
+        shard_ops[g].completed = client.client(g).completed();
+        shard_ops[g].failed = client.client(g).failed();
+      }
+    }
+  }
+
+  if (spec.faults.kills > 0) {
+    r.failovers = run_failovers(d, spec.faults);
+  }
+
+  if (spec.faults.rolling && spec.faults.rolling->rounds > 0) {
+    for (std::size_t g = 0; g < d.groups(); ++g) run_rolling_restarts(d.group(g), spec.faults);
+  }
+
+  if (spec.faults.churn) {
+    r.membership_rounds = run_membership_churn(d.group(0), spec.faults);
+  }
+
+  if (spec.samples.duration > Duration{0}) {
+    r.samples = run_samples(d.group(0), spec.samples);
+    for (const auto& p : r.samples) {
+      if (!p.available) r.ots_seconds += to_sec(spec.samples.sample_every);
+    }
+  }
+
+  const TimePoint now = d.sim().now();
+  for (std::size_t g = 0; g < d.groups(); ++g) {
+    cluster::Cluster& c = d.group(g);
+    const std::size_t elections = c.probe().elections_started_in(measure_start, now);
+    const std::size_t expiries = c.probe().timeouts().size();
+    if (!d.standalone()) {
+      ShardSample s = shard_sample(c, g, spec.servers, shard_ops, to_sec(now - measure_start));
+      s.elections = elections;
+      s.timer_expiries = expiries;
+      r.shard_stats.push_back(s);
+    }
+    r.elections += elections;
+    r.timer_expiries += expiries;
+    r.invariant_violations += c.audit_invariants();
+    r.crash_firings += c.fault_firings();
+  }
+  r.sim_seconds = to_sec(now);
+  return r;
+}
+
 }  // namespace
 
 std::unique_ptr<cluster::Cluster> ScenarioRunner::materialize(const ScenarioSpec& spec) {
   auto c = std::make_unique<cluster::Cluster>(build_config(spec, spec.servers, spec.seed));
   apply_topology(*c, spec);
   return c;
+}
+
+std::unique_ptr<shard::ShardedCluster> ScenarioRunner::materialize_sharded(
+    const ScenarioSpec& spec) {
+  DYNA_EXPECTS(spec.shards >= 1);
+  auto sc = std::make_unique<shard::ShardedCluster>(build_sharded_config(spec));
+  apply_topology(*sc, spec);
+  return sc;
 }
 
 ScenarioResult ScenarioRunner::run(const ScenarioSpec& spec) {
@@ -403,201 +542,12 @@ ScenarioResult ScenarioRunner::run(const ScenarioSpec& spec) {
   return run_on(*c, spec);
 }
 
-std::unique_ptr<shard::ShardedCluster> ScenarioRunner::materialize_sharded(
-    const ScenarioSpec& spec) {
-  DYNA_EXPECTS(spec.shards >= 1);
-  shard::ShardedConfig cfg;
-  cfg.shards = spec.shards;
-  cfg.partition = spec.partition_mode;
-  cfg.group = build_config(spec, spec.servers, spec.seed);
-  auto sc = std::make_unique<shard::ShardedCluster>(std::move(cfg));
-  apply_topology_sharded(*sc, spec);
-  return sc;
-}
-
 ScenarioResult ScenarioRunner::run_on(cluster::Cluster& c, const ScenarioSpec& spec) {
-  spec.faults.validate(spec.servers);
-
-  ScenarioResult r;
-  r.scenario = spec.name;
-  r.servers = spec.servers;
-  r.seed = spec.seed;
-  r.variant = c.config().name;  // factory-supplied configs keep their own name
-
-  r.leader_elected = c.await_leader(spec.await_leader);
-  if (!r.leader_elected) {
-    r.timer_expiries = c.probe().timeouts().size();
-    r.sim_seconds = to_sec(c.sim().now());
-    r.invariant_violations = c.audit_invariants();
-    r.crash_firings = c.fault_firings();
-    return r;
-  }
-  c.sim().run_for(spec.warmup);
-
-  if (spec.sample_paths) {
-    r.paths_leader = c.current_leader();
-    r.paths = record_paths(c, r.paths_leader);
-  }
-
-  const TimePoint measure_start = c.sim().now();
-  schedule_partition_windows(c.sim(), c.network(), spec.faults);
-
-  if (spec.workload.enabled) {
-    if (spec.workload.kind == WorkloadPlan::Kind::ClosedLoop) {
-      // A fresh stream id: the open-loop streams below must keep their exact
-      // fork order so pre-existing reference traces stay byte-identical.
-      wl::ClosedLoopPool pool(c, spec.workload.mix, c.fork_rng(0xC10D));
-      r.mix.push_back(pool.run());
-    } else {
-      // Fixed RNG stream ids keep the workload trace a pure function of the
-      // cluster seed (and match the pre-scenario-API Fig 5 driver).
-      kv::KvClient client(c.sim(), c.network(), c.server_ids(), c.fork_rng(0xC11E47));
-      wl::OpenLoopRamp ramp(c, client, spec.workload.ramp, c.fork_rng(0x10AD));
-      r.levels = ramp.run();
-    }
-  }
-
-  if (spec.faults.kills > 0) {
-    r.failovers = run_failovers(c, spec.faults);
-  }
-
-  if (spec.faults.rolling && spec.faults.rolling->rounds > 0) {
-    run_rolling_restarts(c, spec.faults);
-  }
-
-  if (spec.faults.churn) {
-    r.membership_rounds = run_membership_churn(c, spec.faults);
-  }
-
-  if (spec.samples.duration > Duration{0}) {
-    r.samples = run_samples(c, spec.samples);
-    for (const auto& p : r.samples) {
-      if (!p.available) r.ots_seconds += to_sec(spec.samples.sample_every);
-    }
-  }
-
-  r.elections = c.probe().elections_started_in(measure_start, c.sim().now());
-  r.timer_expiries = c.probe().timeouts().size();
-  r.sim_seconds = to_sec(c.sim().now());
-  r.invariant_violations = c.audit_invariants();
-  r.crash_firings = c.fault_firings();
-  return r;
+  return run_deployment(c, spec);
 }
 
 ScenarioResult ScenarioRunner::run_on(shard::ShardedCluster& sc, const ScenarioSpec& spec) {
-  spec.faults.validate(spec.servers);
-  if (spec.faults.churn) {
-    // Membership churn provisions fresh network endpoints, which a shared
-    // substrate's fixed tiled geometry cannot grow mid-trial.
-    throw std::runtime_error("ScenarioRunner: membership churn requires shards == 1");
-  }
-
-  ScenarioResult r;
-  r.scenario = spec.name;
-  r.servers = spec.servers;  // per-group size; shards arrive via shard_stats
-  r.seed = spec.seed;
-  r.variant = sc.shard(0).config().name;
-
-  r.leader_elected = sc.await_all_leaders(spec.await_leader);
-  if (!r.leader_elected) {
-    for (std::size_t g = 0; g < sc.shards(); ++g) {
-      r.timer_expiries += sc.shard(g).probe().timeouts().size();
-      r.invariant_violations += sc.shard(g).audit_invariants();
-      r.crash_firings += sc.shard(g).fault_firings();
-    }
-    r.sim_seconds = to_sec(sc.sim().now());
-    return r;
-  }
-  sc.sim().run_for(spec.warmup);
-
-  if (spec.sample_paths) {
-    r.paths_leader = sc.shard(0).current_leader();
-    r.paths = record_paths(sc.shard(0), r.paths_leader);
-  }
-
-  const TimePoint measure_start = sc.sim().now();
-  schedule_partition_windows(sc.sim(), sc.network(), spec.faults);
-
-  // One router serves the whole run; the workload publishes discovered
-  // leaders into it as it goes.
-  shard::ShardRouter router = sc.make_router();
-  std::vector<wl::ShardOps> shard_ops(sc.shards());
-
-  if (spec.workload.enabled) {
-    if (spec.workload.kind == WorkloadPlan::Kind::ClosedLoop) {
-      // Same stream ids as the unsharded path: the trace is a pure function
-      // of (config, master seed) either way.
-      wl::ClosedLoopPool pool(sc, router, spec.workload.mix, sc.fork_rng(0xC10D));
-      r.mix.push_back(pool.run());
-      shard_ops = pool.per_shard();
-    } else {
-      shard::ShardedKvClient client(sc, router, sc.fork_rng(0xC11E47));
-      wl::OpenLoopRamp ramp(sc, client, spec.workload.ramp, sc.fork_rng(0x10AD));
-      r.levels = ramp.run();
-      for (std::size_t g = 0; g < sc.shards(); ++g) {
-        shard_ops[g].completed = client.client(g).completed();
-        shard_ops[g].failed = client.client(g).failed();
-      }
-    }
-  }
-
-  if (spec.faults.kills > 0) {
-    // Kills round-robin across groups: kill k lands on group k % shards, so
-    // every group's failover path gets exercised and the sample count still
-    // matches the plan.
-    FaultPlan one = spec.faults;
-    one.kills = 1;
-    for (std::size_t k = 0; k < spec.faults.kills; ++k) {
-      const auto samples = run_failovers(sc.shard(k % sc.shards()), one);
-      r.failovers.insert(r.failovers.end(), samples.begin(), samples.end());
-    }
-  }
-
-  if (spec.faults.rolling && spec.faults.rolling->rounds > 0) {
-    // Group g's sweep advances the one shared simulator, so groups take
-    // their rolling rounds in sequence — every group still sees the full
-    // schedule against live traffic from the others.
-    for (std::size_t g = 0; g < sc.shards(); ++g) {
-      run_rolling_restarts(sc.shard(g), spec.faults);
-    }
-  }
-
-  if (spec.samples.duration > Duration{0}) {
-    // Timeline telemetry reads group 0 (its link (base, base+1), its leader
-    // pace); availability in the samples is also group 0's — per-group
-    // health lands in shard_stats below.
-    r.samples = run_samples(sc.shard(0), spec.samples);
-    for (const auto& p : r.samples) {
-      if (!p.available) r.ots_seconds += to_sec(spec.samples.sample_every);
-    }
-  }
-
-  const TimePoint now = sc.sim().now();
-  const double window_sec = to_sec(now - measure_start);
-  for (std::size_t g = 0; g < sc.shards(); ++g) {
-    cluster::Cluster& c = sc.shard(g);
-    ShardSample s;
-    s.shard = g;
-    s.servers = spec.servers;
-    s.leader_elected = c.current_leader() != kNoNode;
-    s.completed = shard_ops[g].completed;
-    s.failed = shard_ops[g].failed;
-    if (window_sec > 0.0) s.achieved_rps = static_cast<double>(s.completed) / window_sec;
-    s.elections = c.probe().elections_started_in(measure_start, now);
-    s.timer_expiries = c.probe().timeouts().size();
-    for (const NodeId id : c.server_ids()) {
-      if (auto* n = c.node_if_alive(id); n != nullptr) {
-        s.applied = std::max(s.applied, static_cast<std::uint64_t>(n->last_applied()));
-      }
-    }
-    r.shard_stats.push_back(s);
-    r.elections += s.elections;
-    r.timer_expiries += s.timer_expiries;
-    r.invariant_violations += c.audit_invariants();
-    r.crash_firings += c.fault_firings();
-  }
-  r.sim_seconds = to_sec(now);
-  return r;
+  return run_deployment(sc, spec);
 }
 
 std::uint64_t ScenarioRunner::sweep_seed(const SweepSpec& sweep, std::size_t seed_index) {
@@ -683,45 +633,18 @@ class SweepExecutor {
     if (sweep_->mutate) sweep_->mutate(slot.spec, index, seed);
 
     if (!sweep_->reuse_substrate) {
+      // Fresh construction every trial: the reference the reset contract
+      // is pinned against.
       slot.cluster.reset();
       slot.sharded.reset();
-      return ScenarioRunner::run(slot.spec);
     }
     // The seed-only fast path may skip recompiling the config ONLY when
     // the config is a pure function of (variant, size): a config_factory
     // or registry policy receives the trial seed and may legitimately
     // vary with it, so those recompile (and rebuild nodes) every trial.
-    const bool seed_dependent_config = slot.spec.config_factory != nullptr ||
-                                       !slot.spec.policy.empty() ||
-                                       sweep_->mutate != nullptr;
-    if (slot.spec.shards > 1) {
-      if (slot.sharded == nullptr) {
-        slot.sharded = ScenarioRunner::materialize_sharded(slot.spec);
-      } else {
-        if (new_cell || seed_dependent_config) {
-          shard::ShardedConfig cfg;
-          cfg.shards = slot.spec.shards;
-          cfg.partition = slot.spec.partition_mode;
-          cfg.group = build_config(slot.spec, slot.spec.servers, seed);
-          slot.sharded->reset(std::move(cfg));
-        } else {
-          slot.sharded->reset(seed);
-        }
-        apply_topology_sharded(*slot.sharded, slot.spec);
-      }
-      return ScenarioRunner::run_on(*slot.sharded, slot.spec);
-    }
-    if (slot.cluster == nullptr) {
-      slot.cluster = ScenarioRunner::materialize(slot.spec);
-    } else {
-      if (new_cell || seed_dependent_config) {
-        slot.cluster->reset(build_config(slot.spec, slot.spec.servers, seed));
-      } else {
-        slot.cluster->reset(seed);
-      }
-      apply_topology(*slot.cluster, slot.spec);
-    }
-    return ScenarioRunner::run_on(*slot.cluster, slot.spec);
+    const bool recompile = new_cell || slot.spec.config_factory != nullptr ||
+                           !slot.spec.policy.empty() || sweep_->mutate != nullptr;
+    return run_deployment(slot.deploy(recompile), slot.spec);
   }
 
  private:
@@ -730,6 +653,38 @@ class SweepExecutor {
     ScenarioSpec spec;
     std::unique_ptr<cluster::Cluster> cluster;
     std::unique_ptr<shard::ShardedCluster> sharded;
+
+    /// Materialize the spec's deployment on first use, else reset it in
+    /// place (full config or seed only) and re-apply the per-pair topology
+    /// the reset cleared. The trial's one branch on deployment kind.
+    shard::DeploymentView deploy(bool recompile) {
+      if (spec.shards > 1) {
+        cluster.reset();
+        if (sharded == nullptr) {
+          sharded = ScenarioRunner::materialize_sharded(spec);
+          return *sharded;
+        }
+        if (recompile) {
+          sharded->reset(build_sharded_config(spec));
+        } else {
+          sharded->reset(spec.seed);
+        }
+        apply_topology(*sharded, spec);
+        return *sharded;
+      }
+      sharded.reset();
+      if (cluster == nullptr) {
+        cluster = ScenarioRunner::materialize(spec);
+        return *cluster;
+      }
+      if (recompile) {
+        cluster->reset(build_config(spec, spec.servers, spec.seed));
+      } else {
+        cluster->reset(spec.seed);
+      }
+      apply_topology(*cluster, spec);
+      return *cluster;
+    }
   };
 
   const SweepSpec* sweep_;

@@ -1,5 +1,12 @@
-// ScenarioRunner: compiles a ScenarioSpec into a running Cluster and
+// ScenarioRunner: compiles a ScenarioSpec into a running deployment and
 // executes its plans deterministically.
+//
+// Every deployment runs through one run shape, written once against
+// shard::DeploymentView: a standalone Cluster is one group, a ShardedCluster
+// k >= 1 groups on a shared substrate. The run_on overloads only build the
+// view; the semantics that depend on the deployment (where kills land, what
+// samples read, when churn is allowed, when shard_stats is filled) are
+// stated once, on the run body in runner.cpp.
 //
 // run() is a pure function of the spec (one 64-bit seed in, one
 // ScenarioResult out); run_sweep() crosses a base spec over variants x sizes
@@ -26,35 +33,37 @@ class ResultSink;
 
 class ScenarioRunner {
  public:
-  /// Compile the spec into a running cluster: variant config, topology
+  /// Compile the spec into a standalone cluster: variant config, topology
   /// (default schedule, WAN matrix, per-direction overrides), transport and
   /// perf model all applied. No simulated time has passed yet. Examples and
-  /// tests that need live-cluster access build on this; run() does too.
+  /// tests that need live-cluster access build on this; run() does too for
+  /// shards == 1.
   [[nodiscard]] static std::unique_ptr<cluster::Cluster> materialize(const ScenarioSpec& spec);
 
-  /// Execute one spec end to end: materialize, await leader, warm up, then
-  /// run the workload / fault / sampling plans and collect counters.
+  /// Execute one spec end to end: materialize (standalone for shards == 1,
+  /// sharded above), await leaders, warm up, then run the workload / fault /
+  /// sampling plans and collect counters.
   [[nodiscard]] static ScenarioResult run(const ScenarioSpec& spec);
 
   /// Execute the spec's run shape (await leader, warm-up, plans) on a
-  /// cluster that already exists — the composition hook for callers that
-  /// need live-cluster access before/between/after plans (examples, deep
-  /// inspection tests). The cluster is expected to come from materialize()
-  /// with the same topology; simulated time continues from wherever the
-  /// cluster is.
+  /// standalone cluster that already exists — the composition hook for
+  /// callers that need live-cluster access before/between/after plans
+  /// (examples, deep inspection tests). The cluster is expected to come from
+  /// materialize() with the same topology; simulated time continues from
+  /// wherever the cluster is. No shard_stats.
   [[nodiscard]] static ScenarioResult run_on(cluster::Cluster& cluster,
                                              const ScenarioSpec& spec);
 
-  /// Sharded materialization (spec.shards > 1): k groups of spec.servers on
+  /// Sharded materialization: spec.shards >= 1 groups of spec.servers on
   /// one shared Simulator/Network, topology applied per group at its node
-  /// base. run() dispatches here automatically; exposed for callers that
-  /// need live access to the groups.
+  /// base. run() dispatches here for shards > 1; exposed for callers that
+  /// need live access to the groups (or a one-group sharded deployment).
   [[nodiscard]] static std::unique_ptr<shard::ShardedCluster> materialize_sharded(
       const ScenarioSpec& spec);
 
-  /// Execute the spec's run shape on a sharded deployment: await every
-  /// group's leader, warm up, route the workload through a ShardRouter,
-  /// round-robin leader kills across groups, then fill per-shard stats.
+  /// The same run shape on a sharded deployment: the workload routes across
+  /// every group, and shard_stats gets one row per group (even at k = 1).
+  /// Throws std::runtime_error for a membership-churn plan.
   [[nodiscard]] static ScenarioResult run_on(shard::ShardedCluster& cluster,
                                              const ScenarioSpec& spec);
 

@@ -63,7 +63,9 @@ struct TopologySpec {
   std::optional<cluster::WanTopology> wan;
 
   /// Directed per-link override: the forward and reverse directions of a
-  /// path may carry different schedules (asymmetric links).
+  /// path may carry different schedules (asymmetric links). Ids are
+  /// group-local: a sharded deployment applies every override (and the WAN
+  /// matrix) to each group at its node base.
   struct DirectedOverride {
     NodeId from = 0;
     NodeId to = 0;
@@ -117,6 +119,10 @@ struct FaultPlan {
   /// directions, all transports — Network::set_blocked), healing after
   /// `duration`. Nodes inside the set still reach each other, so a window
   /// listing one group's members isolates that group without splitting it.
+  /// Window ids (here and in DirectedPartitionWindow) are deployment-global
+  /// network ids: group g of a sharded deployment owns
+  /// [g*servers, (g+1)*servers). TopologySpec::overrides ids, by contrast,
+  /// are group-local and apply to every group.
   struct PartitionWindow {
     Duration start{0};
     Duration duration = 1s;
@@ -215,7 +221,8 @@ struct FaultPlan {
 
   /// Reject malformed plans before a trial spends simulated hours on them.
   /// Throws std::invalid_argument (not a contract abort — harnesses test
-  /// their schedules against this). Checks: node ids in [0, servers),
+  /// their schedules against this). `servers` is the deployment's server-id
+  /// range (shards * servers). Checks: node ids in [0, servers),
   /// positive window durations, no two windows (symmetric or directed)
   /// overlapping on the same node, and sane rolling-restart pacing.
   void validate(std::size_t servers) const {
@@ -340,11 +347,12 @@ struct ScenarioSpec {
   std::uint64_t seed = 1;
 
   // ---- Sharding (src/shard/) ----
-  /// Number of independent consensus groups behind the keyspace router;
-  /// 1 = the classic single-group path, byte-identical to pre-sharding runs.
-  /// `servers` is the per-group size, so total nodes = shards * servers.
+  /// Number of independent consensus groups behind the keyspace router.
+  /// 1 runs on a standalone Cluster, above 1 on a ShardedCluster; both take
+  /// the one run shape (ScenarioRunner). `servers` is the per-group size, so
+  /// total nodes = shards * servers.
   std::size_t shards = 1;
-  /// How the router splits the keyspace across groups (shards > 1 only).
+  /// How the router splits the keyspace across groups (inert at one group).
   shard::PartitionMode partition_mode = shard::PartitionMode::Hash;
 
   // ---- Network / host model ----
@@ -358,13 +366,11 @@ struct ScenarioSpec {
   /// compaction stays off (the reference-run default).
   std::optional<std::size_t> snapshot_threshold;
   std::optional<std::size_t> snapshot_trailing;
-  /// Per-request FIFO CPU service time (> 0 enables the throughput pipeline).
-  Duration request_service_time{0};
-  /// Batch-aware CPU model: a commit round costs `round_service_time` plus
-  /// `command_service_time` per command it carries (either > 0 enables it and
-  /// supersedes `request_service_time` for client requests). With group
-  /// commit on, coalesced commands share one round — the saturated peak moves
-  /// from 1/(R+C) to B/(R+B*C).
+  /// Client-request CPU model (either > 0 enables the throughput pipeline):
+  /// a commit round costs `round_service_time` plus `command_service_time`
+  /// per command it carries. Without group commit every request is its own
+  /// round (peak 1/(R+C)); with it, coalesced commands share one round — the
+  /// saturated peak moves to B/(R+B*C).
   Duration round_service_time{0};
   Duration command_service_time{0};
   /// Leader-side group commit and its caps (see RaftConfig). Applied only

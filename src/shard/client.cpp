@@ -2,74 +2,35 @@
 
 #include <utility>
 
-#include "kvstore/command.hpp"
-
 namespace dyna::shard {
 
-ShardedKvClient::ShardedKvClient(ShardedCluster& sc, ShardRouter& router, Rng rng,
-                                 kv::KvClient::Config config)
+ShardedKvClient::ShardedKvClient(const DeploymentView& deployment, ShardRouter& router,
+                                 Rng rng, kv::KvClient::Config config)
     : router_(&router) {
-  DYNA_EXPECTS(router.shards() == sc.shards());
-  clients_.reserve(sc.shards());
-  for (std::size_t s = 0; s < sc.shards(); ++s) {
-    auto client = std::make_unique<kv::KvClient>(sc.sim(), sc.network(),
-                                                 sc.shard(s).server_ids(), rng.fork(s),
-                                                 config);
+  DYNA_EXPECTS(router.shards() == deployment.groups());
+  clients_.reserve(deployment.groups());
+  for (std::size_t s = 0; s < deployment.groups(); ++s) {
+    auto client = std::make_unique<kv::KvClient>(
+        deployment.sim(), deployment.network(), deployment.group(s).server_ids(),
+        deployment.client_stream(rng, s), config);
     // Start at the router's cached leader when one is known — this is what
     // makes the cache pay: only the first client per shard walks the group.
     if (const NodeId hint = router_->leader_hint(s); hint != kNoNode) {
       client->set_target(hint);
     }
+    client->set_leader_listener([this, s](NodeId leader) { router_->note_leader(s, leader); });
     clients_.push_back(std::move(client));
   }
 }
 
-kv::KvClient::DoneFn ShardedKvClient::publish_leader(std::size_t shard,
-                                                     kv::KvClient::DoneFn done) {
-  return [this, shard, done = std::move(done)](const kv::ClientResult& r) {
-    if (r.ok) router_->note_leader(shard, clients_[shard]->target());
-    done(r);
-  };
-}
-
 void ShardedKvClient::put(std::string key, std::string value, kv::KvClient::DoneFn done) {
   const std::size_t s = router_->shard_of(key);
-  clients_[s]->put(std::move(key), std::move(value), publish_leader(s, std::move(done)));
+  clients_[s]->put(std::move(key), std::move(value), std::move(done));
 }
 
 void ShardedKvClient::get(std::string key, kv::KvClient::DoneFn done) {
   const std::size_t s = router_->shard_of(key);
-  clients_[s]->get(std::move(key), publish_leader(s, std::move(done)));
-}
-
-void ShardedKvClient::del(std::string key, kv::KvClient::DoneFn done) {
-  const std::size_t s = router_->shard_of(key);
-  clients_[s]->del(std::move(key), publish_leader(s, std::move(done)));
-}
-
-void ShardedKvClient::submit(std::string payload, kv::KvClient::DoneFn done) {
-  const auto view = kv::decode_view(payload);
-  DYNA_EXPECTS(view.has_value());
-  const std::size_t s = router_->shard_of(view->key);
-  clients_[s]->submit(std::move(payload), publish_leader(s, std::move(done)));
-}
-
-std::uint64_t ShardedKvClient::completed() const noexcept {
-  std::uint64_t n = 0;
-  for (const auto& c : clients_) n += c->completed();
-  return n;
-}
-
-std::uint64_t ShardedKvClient::failed() const noexcept {
-  std::uint64_t n = 0;
-  for (const auto& c : clients_) n += c->failed();
-  return n;
-}
-
-std::uint64_t ShardedKvClient::retries() const noexcept {
-  std::uint64_t n = 0;
-  for (const auto& c : clients_) n += c->retries();
-  return n;
+  clients_[s]->get(std::move(key), std::move(done));
 }
 
 }  // namespace dyna::shard

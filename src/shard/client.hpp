@@ -1,12 +1,15 @@
-// Sharded KV client: one kv::KvClient per consensus group behind a shared
-// ShardRouter. Each op routes by key, rides the group client's normal
-// redirect/retry machinery, and on success publishes the discovered leader
-// back to the router — so every client constructed later starts its first op
-// at the right server instead of walking the group.
+// Routed KV client: one kv::KvClient per consensus group of a deployment
+// behind a shared ShardRouter. Each op routes by key, rides the group
+// client's normal redirect/retry machinery, and on success publishes the
+// discovered leader back to the router (a KvClient leader listener) — so
+// every client constructed later starts its first op at the right server
+// instead of walking the group.
 //
-// One ShardedKvClient == one logical client session whose key mix spans
-// shards (a closed-loop session, an open-loop generator, an example). Group
-// clients fork their rngs from this client's stream in fixed shard order.
+// One ShardedKvClient == one logical client session whose key mix spans the
+// deployment's groups (a closed-loop session, an open-loop generator, an
+// example). It serves every deployment kind: on a standalone Cluster it is
+// one plain KvClient. Group client streams follow the view's client-stream
+// rule (DeploymentView::client_stream).
 #pragma once
 
 #include <memory>
@@ -20,7 +23,7 @@ namespace dyna::shard {
 
 class ShardedKvClient {
  public:
-  ShardedKvClient(ShardedCluster& sc, ShardRouter& router, Rng rng,
+  ShardedKvClient(const DeploymentView& deployment, ShardRouter& router, Rng rng,
                   kv::KvClient::Config config = {});
 
   ShardedKvClient(const ShardedKvClient&) = delete;
@@ -28,10 +31,6 @@ class ShardedKvClient {
 
   void put(std::string key, std::string value, kv::KvClient::DoneFn done);
   void get(std::string key, kv::KvClient::DoneFn done);
-  void del(std::string key, kv::KvClient::DoneFn done);
-
-  /// Raw encoded command; the routing key is decoded from the payload.
-  void submit(std::string payload, kv::KvClient::DoneFn done);
 
   [[nodiscard]] std::size_t shard_of(std::string_view key) const {
     return router_->shard_of(key);
@@ -40,18 +39,8 @@ class ShardedKvClient {
     DYNA_EXPECTS(shard < clients_.size());
     return *clients_[shard];
   }
-  [[nodiscard]] const ShardRouter& router() const noexcept { return *router_; }
-
-  // ---- Counters (aggregated over group clients) ----
-  [[nodiscard]] std::uint64_t completed() const noexcept;
-  [[nodiscard]] std::uint64_t failed() const noexcept;
-  [[nodiscard]] std::uint64_t retries() const noexcept;
 
  private:
-  /// Wrap a completion so a successful op publishes the leader it ended on.
-  [[nodiscard]] kv::KvClient::DoneFn publish_leader(std::size_t shard,
-                                                    kv::KvClient::DoneFn done);
-
   ShardRouter* router_;
   std::vector<std::unique_ptr<kv::KvClient>> clients_;  // one per shard
 };

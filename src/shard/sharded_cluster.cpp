@@ -1,5 +1,7 @@
 #include "shard/sharded_cluster.hpp"
 
+#include <algorithm>
+
 namespace dyna::shard {
 
 ShardedCluster::ShardedCluster(ShardedConfig config) : cfg_(std::move(config)) {
@@ -37,10 +39,12 @@ void ShardedCluster::build_network() {
 
 void ShardedCluster::build_groups() {
   groups_.reserve(cfg_.shards);
+  members_.clear();
   for (std::size_t g = 0; g < cfg_.shards; ++g) {
     // Construction order is the id-assignment order: group g's ctor calls
     // add_node() exactly `servers` times, landing on its node_base slice.
     groups_.push_back(std::make_unique<cluster::Cluster>(group_config(g)));
+    members_.push_back(groups_.back().get());
   }
 }
 
@@ -87,23 +91,19 @@ void ShardedCluster::reset(std::uint64_t seed) {
 }
 
 bool ShardedCluster::await_all_leaders(Duration timeout) {
-  const TimePoint deadline = sim_.now() + timeout;
-  auto all_led = [this] {
-    for (auto& g : groups_) {
-      if (g->current_leader() == kNoNode) return false;
-    }
-    return true;
-  };
-  while (!all_led()) {
-    if (sim_.now() >= deadline) return false;
-    sim_.run_for(std::chrono::milliseconds(10));
-  }
-  return true;
+  return DeploymentView(*this).await_leaders(timeout);
 }
 
-bool all_shards_available(ShardedCluster& sc) {
-  for (std::size_t g = 0; g < sc.shards(); ++g) {
-    if (!cluster::service_available(sc.shard(g))) return false;
+bool DeploymentView::await_leaders(Duration timeout) const {
+  if (groups_.size() == 1) return groups_[0]->await_leader(timeout);
+  const TimePoint deadline = sim_->now() + timeout;
+  const auto all_led = [this] {
+    return std::all_of(groups_.begin(), groups_.end(),
+                       [](cluster::Cluster* g) { return g->current_leader() != kNoNode; });
+  };
+  while (!all_led()) {
+    if (sim_->now() >= deadline) return false;
+    sim_->run_for(std::chrono::milliseconds(10));
   }
   return true;
 }

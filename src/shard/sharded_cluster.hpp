@@ -22,6 +22,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "cluster/cluster.hpp"
@@ -66,6 +67,8 @@ class ShardedCluster {
     DYNA_EXPECTS(s < groups_.size());
     return *groups_[s];
   }
+  /// Every group, in group order.
+  [[nodiscard]] std::span<cluster::Cluster* const> groups() const noexcept { return members_; }
 
   /// A router matching this deployment's shard count and partition mode.
   [[nodiscard]] ShardRouter make_router() const {
@@ -99,9 +102,70 @@ class ShardedCluster {
   sim::Simulator sim_;
   std::unique_ptr<net::Network> net_;
   std::vector<std::unique_ptr<cluster::Cluster>> groups_;
+  std::vector<cluster::Cluster*> members_;  ///< groups_, unowned (the view's table)
 };
 
-/// True when every group can commit (service_available per group).
-[[nodiscard]] bool all_shards_available(ShardedCluster& sc);
+/// Non-owning view of a running deployment: k >= 1 consensus groups on one
+/// shared Simulator/Network. The run-level drivers — ScenarioRunner's run
+/// body, ShardedKvClient, the closed- and open-loop workloads — are written
+/// once against it. Built from a standalone Cluster (one group owning its
+/// substrate) or from a ShardedCluster (any k, including 1). A view lives for
+/// one run and is not copyable: a standalone view's group table points into
+/// the view itself.
+class DeploymentView {
+ public:
+  // Implicit on purpose: drivers take a view, callers hand them a cluster.
+  DeploymentView(cluster::Cluster& c) noexcept  // NOLINT(google-explicit-constructor)
+      : sim_(&c.sim()), net_(&c.network()), seed_(c.config().seed), single_(&c),
+        groups_(&single_, 1) {}
+  DeploymentView(ShardedCluster& sc) noexcept  // NOLINT(google-explicit-constructor)
+      : sim_(&sc.sim()), net_(&sc.network()), seed_(sc.config().group.seed),
+        partition_(sc.config().partition), groups_(sc.groups()) {}
+
+  DeploymentView(const DeploymentView&) = delete;
+  DeploymentView& operator=(const DeploymentView&) = delete;
+
+  [[nodiscard]] sim::Simulator& sim() const noexcept { return *sim_; }
+  [[nodiscard]] net::Network& network() const noexcept { return *net_; }
+  [[nodiscard]] std::size_t groups() const noexcept { return groups_.size(); }
+  [[nodiscard]] cluster::Cluster& group(std::size_t g) const {
+    DYNA_EXPECTS(g < groups_.size());
+    return *groups_[g];
+  }
+  /// A standalone Cluster, as opposed to any ShardedCluster (even k = 1).
+  [[nodiscard]] bool standalone() const noexcept { return single_ != nullptr; }
+
+  /// A router matching the group count and partition mode.
+  [[nodiscard]] ShardRouter make_router() const { return ShardRouter(groups(), partition_); }
+
+  /// Fork a driver stream from the master seed (the derivation of
+  /// Cluster::fork_rng and ShardedCluster::fork_rng alike).
+  [[nodiscard]] Rng fork_rng(std::uint64_t stream) const {
+    return Rng(derive_seed(seed_, 0xC0FFEE ^ stream));
+  }
+
+  /// The client-stream rule, keyed on the deployment kind, never on the
+  /// group count: a standalone deployment hands its one group client the
+  /// driver's stream unforked; a sharded one gives group g's client
+  /// rng.fork(g), forked in group order, at every k — the stream layout the
+  /// reference traces were recorded with.
+  [[nodiscard]] Rng client_stream(Rng& rng, std::size_t g) const {
+    return standalone() ? rng : rng.fork(g);
+  }
+
+  /// Advance simulation until every group has a leader (true) or `timeout`
+  /// elapses, polling every 10 ms. One group polls through
+  /// Cluster::await_leader's memoized leader scan (same schedule, same
+  /// answer).
+  bool await_leaders(Duration timeout) const;
+
+ private:
+  sim::Simulator* sim_;
+  net::Network* net_;
+  std::uint64_t seed_;
+  PartitionMode partition_ = PartitionMode::Hash;
+  cluster::Cluster* single_ = nullptr;  ///< the standalone group, else null
+  std::span<cluster::Cluster* const> groups_;
+};
 
 }  // namespace dyna::shard

@@ -7,44 +7,28 @@
 
 namespace dyna::wl {
 
-ClosedLoopPool::ClosedLoopPool(cluster::Cluster& cluster, MixConfig config, Rng rng)
-    : cluster_(&cluster), sim_(&cluster.sim()), cfg_(config), rng_(std::move(rng)) {
+ClosedLoopPool::ClosedLoopPool(const shard::DeploymentView& deployment,
+                               shard::ShardRouter& router, MixConfig config, Rng rng)
+    : router_(&router),
+      sim_(&deployment.sim()),
+      cfg_(config),
+      rng_(std::move(rng)),
+      per_shard_(router.shards()) {
   DYNA_EXPECTS(cfg_.clients >= 1);
   DYNA_EXPECTS(cfg_.get_ratio >= 0.0 && cfg_.get_ratio <= 1.0);
   DYNA_EXPECTS(cfg_.value_bytes_min <= cfg_.value_bytes_max);
   DYNA_EXPECTS(cfg_.duration > Duration{0});
   sessions_.reserve(cfg_.clients);
-  const std::vector<NodeId> servers = cluster_->server_ids();
   for (std::size_t i = 0; i < cfg_.clients; ++i) {
-    // Session RNGs fork from the pool stream in construction order, and each
-    // client gets its own derived stream too: every random decision in the
-    // run is fixed by the pool RNG alone.
+    // Session RNGs fork from the pool stream in construction order: stream
+    // 2i for the session's decisions, 2i+1 for its client (which applies the
+    // deployment's client-stream rule). Every random decision in the run is
+    // fixed by the pool RNG alone.
     Rng session_rng = rng_.fork(2 * i);
-    auto client = std::make_unique<kv::KvClient>(cluster_->sim(), cluster_->network(), servers,
-                                                 rng_.fork(2 * i + 1));
-    sessions_.push_back(
-        Session{std::move(client), nullptr, std::move(session_rng), 0, kUnpinned});
-  }
-}
-
-ClosedLoopPool::ClosedLoopPool(shard::ShardedCluster& sharded, shard::ShardRouter& router,
-                               MixConfig config, Rng rng)
-    : router_(&router), sim_(&sharded.sim()), cfg_(config), rng_(std::move(rng)) {
-  DYNA_EXPECTS(cfg_.clients >= 1);
-  DYNA_EXPECTS(cfg_.get_ratio >= 0.0 && cfg_.get_ratio <= 1.0);
-  DYNA_EXPECTS(cfg_.value_bytes_min <= cfg_.value_bytes_max);
-  DYNA_EXPECTS(cfg_.duration > Duration{0});
-  per_shard_.resize(router.shards());
-  sessions_.reserve(cfg_.clients);
-  for (std::size_t i = 0; i < cfg_.clients; ++i) {
-    // Same fork schedule as the unsharded pool: stream 2i for the session's
-    // decisions, 2i+1 for its client (which forks once more per shard).
-    Rng session_rng = rng_.fork(2 * i);
-    auto routed = std::make_unique<shard::ShardedKvClient>(sharded, router,
-                                                           rng_.fork(2 * i + 1));
-    const std::size_t pin =
-        cfg_.pin_sessions_to_shards ? i % router.shards() : kUnpinned;
-    sessions_.push_back(Session{nullptr, std::move(routed), std::move(session_rng), 0, pin});
+    auto client =
+        std::make_unique<shard::ShardedKvClient>(deployment, router, rng_.fork(2 * i + 1));
+    const std::size_t pin = cfg_.pin_sessions_to_shards ? i % router.shards() : kUnpinned;
+    sessions_.push_back(Session{std::move(client), std::move(session_rng), 0, pin});
   }
 }
 
@@ -103,15 +87,13 @@ void ClosedLoopPool::issue(std::size_t session) {
     key = "key-" + std::to_string(key_id);
   }
   std::size_t shard = 0;
-  if (router_ != nullptr) {
-    if (s.pin != kUnpinned) {
-      // Pinned session: relocate the drawn key into the session's own shard
-      // (deterministic — same stem always yields the same shard-local key).
-      shard = s.pin;
-      key = router_->key_for_shard(shard, key);
-    } else {
-      shard = router_->shard_of(key);
-    }
+  if (s.pin != kUnpinned) {
+    // Pinned session: relocate the drawn key into the session's own shard
+    // (deterministic — same stem always yields the same shard-local key).
+    shard = s.pin;
+    key = router_->key_for_shard(shard, key);
+  } else {
+    shard = router_->shard_of(key);
   }
 
   auto done = [this, session, is_get, shard](const kv::ClientResult& result) {
@@ -124,14 +106,12 @@ void ClosedLoopPool::issue(std::size_t session) {
     } else {
       ++failed_;
     }
-    if (!per_shard_.empty()) {
-      ShardOps& ops = per_shard_[shard];
-      if (result.ok) {
-        ++ops.completed;
-        (is_get ? ops.gets : ops.puts)++;
-      } else {
-        ++ops.failed;
-      }
+    ShardOps& ops = per_shard_[shard];
+    if (result.ok) {
+      ++ops.completed;
+      (is_get ? ops.gets : ops.puts)++;
+    } else {
+      ++ops.failed;
     }
     if (session_done(sess)) {
       if (remaining_ > 0) --remaining_;
@@ -145,20 +125,11 @@ void ClosedLoopPool::issue(std::size_t session) {
   };
 
   if (is_get) {
-    if (s.routed != nullptr) {
-      s.routed->get(std::move(key), std::move(done));
-    } else {
-      s.client->get(std::move(key), std::move(done));
-    }
+    s.client->get(std::move(key), std::move(done));
   } else {
     const std::size_t span = cfg_.value_bytes_max - cfg_.value_bytes_min + 1;
     const std::size_t bytes = cfg_.value_bytes_min + s.rng.uniform_index(span);
-    std::string value(bytes, 'v');
-    if (s.routed != nullptr) {
-      s.routed->put(std::move(key), std::move(value), std::move(done));
-    } else {
-      s.client->put(std::move(key), std::move(value), std::move(done));
-    }
+    s.client->put(std::move(key), std::string(bytes, 'v'), std::move(done));
   }
 }
 

@@ -1,15 +1,17 @@
 // Closed-loop client pool at production intensity: N independent sessions,
-// each with its own network endpoint and KvClient, issuing one operation at a
-// time — the next op goes out only after the previous one completes (plus an
-// optional think time). Unlike the open-loop ramp, offered load self-paces at
-// whatever the service can actually absorb, which is how real client fleets
-// behave at saturation and what makes group commit measurable: concurrent
-// sessions are exactly the commands a batch window can coalesce.
+// each with its own routed client (one network endpoint per group), issuing
+// one operation at a time — the next op goes out only after the previous
+// one completes (plus an optional think time). Unlike the open-loop ramp,
+// offered load self-paces at whatever the service can actually absorb, which
+// is how real client fleets behave at saturation and what makes group commit
+// measurable: concurrent sessions are exactly the commands a batch window can
+// coalesce.
 //
 // Operations draw from a GET/PUT mix with a value-size distribution; every
 // random decision comes from a per-session RNG forked deterministically from
 // the pool's stream, so a run is a pure function of (cluster seed, pool
 // stream) — bit-identical whether the surrounding sweep uses 1 or 8 threads.
+// One pool serves every deployment kind: a standalone cluster is one group.
 #pragma once
 
 #include <cstdint>
@@ -17,10 +19,8 @@
 #include <string>
 #include <vector>
 
-#include "cluster/cluster.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
-#include "kvstore/client.hpp"
 #include "shard/client.hpp"
 #include "shard/sharded_cluster.hpp"
 
@@ -44,15 +44,15 @@ struct MixConfig {
   /// the final store state independent of cross-session interleaving —
   /// the property the batched-vs-unbatched equivalence check pins.
   bool disjoint_keyspace = false;
-  /// Sharded pools only: pin session i to shard (i % shards) and draw its
-  /// keys inside that shard via ShardRouter::key_for_shard. Combined with
-  /// ops_per_client + disjoint_keyspace this makes each shard's final store
-  /// state independent of the other shards' timing — the isolation pin used
-  /// by the shard-leader-kill checks.
+  /// Pin session i to shard (i % shards) and draw its keys inside that
+  /// shard via ShardRouter::key_for_shard (a no-op with one group). Combined
+  /// with ops_per_client + disjoint_keyspace this makes each shard's final
+  /// store state independent of the other shards' timing — the isolation pin
+  /// used by the shard-leader-kill checks.
   bool pin_sessions_to_shards = false;
 };
 
-/// Per-shard slice of a sharded pool run.
+/// Per-group slice of a pool run.
 struct ShardOps {
   std::uint64_t completed = 0;
   std::uint64_t failed = 0;
@@ -78,14 +78,10 @@ struct MixResult {
 
 class ClosedLoopPool {
  public:
-  ClosedLoopPool(cluster::Cluster& cluster, MixConfig config, Rng rng);
-
-  /// Sharded variant: one client mix spans every consensus group. Each
-  /// session holds a ShardedKvClient and routes per-op by key through
-  /// `router` (or is pinned, see MixConfig::pin_sessions_to_shards). The
-  /// unsharded constructor above is untouched — its rng fork order and key
-  /// strings stay byte-identical to pre-sharding runs.
-  ClosedLoopPool(shard::ShardedCluster& sharded, shard::ShardRouter& router,
+  /// One client mix spans every group of the deployment. Each session holds
+  /// a ShardedKvClient and routes per-op by key through `router` (or is
+  /// pinned, see MixConfig::pin_sessions_to_shards).
+  ClosedLoopPool(const shard::DeploymentView& deployment, shard::ShardRouter& router,
                  MixConfig config, Rng rng);
 
   ClosedLoopPool(const ClosedLoopPool&) = delete;
@@ -95,15 +91,14 @@ class ClosedLoopPool {
   /// ops_per_client). Single-use.
   [[nodiscard]] MixResult run();
 
-  /// Per-shard op counts; empty unless the sharded constructor was used.
+  /// Per-group op counts, one entry per router shard.
   [[nodiscard]] const std::vector<ShardOps>& per_shard() const noexcept {
     return per_shard_;
   }
 
  private:
   struct Session {
-    std::unique_ptr<kv::KvClient> client;           ///< unsharded pools
-    std::unique_ptr<shard::ShardedKvClient> routed; ///< sharded pools
+    std::unique_ptr<shard::ShardedKvClient> client;
     Rng rng;
     std::uint64_t ops = 0;  ///< completions (ok or failed) so far
     std::size_t pin = kUnpinned;
@@ -113,9 +108,8 @@ class ClosedLoopPool {
   void issue(std::size_t session);
   [[nodiscard]] bool session_done(const Session& s) const noexcept;
 
-  cluster::Cluster* cluster_ = nullptr;           ///< unsharded pools
-  shard::ShardRouter* router_ = nullptr;          ///< sharded pools
-  sim::Simulator* sim_;                           ///< always set
+  shard::ShardRouter* router_;
+  sim::Simulator* sim_;
   MixConfig cfg_;
   Rng rng_;
   std::vector<Session> sessions_;
@@ -126,7 +120,7 @@ class ClosedLoopPool {
   std::uint64_t failed_ = 0;
   std::uint64_t gets_ = 0;
   std::uint64_t puts_ = 0;
-  std::vector<ShardOps> per_shard_;  ///< sized only by the sharded ctor
+  std::vector<ShardOps> per_shard_;
 };
 
 }  // namespace dyna::wl

@@ -59,7 +59,6 @@ void OpenLoopRamp::arm_arrival(double rate, TimePoint level_end) {
 void OpenLoopRamp::fire_request() {
   const std::uint64_t key_id = rng_.uniform_index(cfg_.keyspace);
   std::string key = "key-" + std::to_string(key_id);
-  std::string value(cfg_.value_bytes, 'x');
   auto done = [this](const kv::ClientResult& result) {
     if (result.ok) {
       ++completed_;
@@ -68,11 +67,7 @@ void OpenLoopRamp::fire_request() {
       ++failed_;
     }
   };
-  if (routed_ != nullptr) {
-    routed_->put(std::move(key), std::move(value), std::move(done));
-  } else {
-    client_->put(std::move(key), std::move(value), std::move(done));
-  }
+  client_->put(std::move(key), std::string(cfg_.value_bytes, 'x'), std::move(done));
 }
 
 }  // namespace dyna::wl

@@ -1,17 +1,16 @@
 // Open-loop workload ramp (Fig 5's procedure): clients issue PUTs at a fixed
 // offered rate regardless of completions; the rate steps up every level
 // (paper: +1000 req/s every 10 s) and each level's achieved throughput and
-// mean latency are recorded.
+// mean latency are recorded. PUTs route by key across every group of the
+// deployment (a standalone cluster is one group).
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "cluster/cluster.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
-#include "kvstore/client.hpp"
 #include "shard/client.hpp"
 #include "shard/sharded_cluster.hpp"
 
@@ -41,13 +40,9 @@ struct LevelResult {
 
 class OpenLoopRamp {
  public:
-  OpenLoopRamp(cluster::Cluster& cluster, kv::KvClient& client, RampConfig config, Rng rng)
-      : sim_(&cluster.sim()), client_(&client), cfg_(config), rng_(std::move(rng)) {}
-
-  /// Sharded variant: PUTs route by key across every consensus group.
-  OpenLoopRamp(shard::ShardedCluster& sharded, shard::ShardedKvClient& client,
+  OpenLoopRamp(const shard::DeploymentView& deployment, shard::ShardedKvClient& client,
                RampConfig config, Rng rng)
-      : sim_(&sharded.sim()), routed_(&client), cfg_(config), rng_(std::move(rng)) {}
+      : sim_(&deployment.sim()), client_(&client), cfg_(config), rng_(std::move(rng)) {}
 
   /// Run the whole ramp; one result per offered-rate level.
   [[nodiscard]] std::vector<LevelResult> run();
@@ -60,8 +55,7 @@ class OpenLoopRamp {
   void fire_request();
 
   sim::Simulator* sim_;
-  kv::KvClient* client_ = nullptr;            ///< unsharded
-  shard::ShardedKvClient* routed_ = nullptr;  ///< sharded
+  shard::ShardedKvClient* client_;
   RampConfig cfg_;
   Rng rng_;
 

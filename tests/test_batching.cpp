@@ -180,7 +180,8 @@ TEST(GroupCommit, EveryBatchedCommandCompletesIndividually) {
   mix.get_ratio = 0.0;
   mix.ops_per_client = 25;
   mix.duration = 60s;
-  wl::ClosedLoopPool pool(*c, mix, c->fork_rng(1));
+  shard::ShardRouter router(1);
+  wl::ClosedLoopPool pool(*c, router, mix, c->fork_rng(1));
   const wl::MixResult r = pool.run();
 
   // Closed-loop, ops-bound: the fan-out path must complete every single
@@ -210,7 +211,8 @@ TEST(GroupCommit, BatchedMatchesUnbatchedFinalState) {
     mix.ops_per_client = 30;
     mix.duration = 60s;
     mix.disjoint_keyspace = true;
-    wl::ClosedLoopPool pool(*c, mix, c->fork_rng(2));
+    shard::ShardRouter router(1);
+    wl::ClosedLoopPool pool(*c, router, mix, c->fork_rng(2));
     const wl::MixResult r = pool.run();
     EXPECT_EQ(r.completed, 8u * 30u);
     c->sim().run_for(2s);  // let followers catch up
@@ -319,7 +321,8 @@ TEST(TrialReuse, BatchAccumulatorStateDoesNotLeakAcrossTrials) {
     mix.get_ratio = 0.3;
     mix.ops_per_client = 15;
     mix.duration = 60s;
-    wl::ClosedLoopPool pool(c, mix, c.fork_rng(5));
+    shard::ShardRouter router(1);
+    wl::ClosedLoopPool pool(c, router, mix, c.fork_rng(5));
     return pool.run();
   };
 

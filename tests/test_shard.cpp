@@ -12,10 +12,14 @@
 //   * determinism — sharded sweeps are bit-identical across thread counts
 //     and fresh-vs-reused substrates, and ShardedCluster::reset matches
 //     fresh construction (including across a geometry change).
+// Plus the run-shape semantics a sharded deployment adds: deployment-global
+// partition-window ids, churn only on a standalone cluster, kills
+// round-robin across groups, rolling restarts visiting every group.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -261,6 +265,34 @@ TEST(PartitionWindows, IsolatingTheLeaderForcesAnElectionThenHeals) {
   EXPECT_TRUE(cluster::service_available(*c));  // healed: commits flow again
 }
 
+TEST(PartitionWindows, ShardedWindowIdsAreDeploymentGlobal) {
+  // Window ids are network ids: in a 2 x 3 deployment shard 1 owns [3, 6),
+  // so a window may name shard 1's leader and the remaining quorum of that
+  // shard elects a successor.
+  scenario::ScenarioSpec spec;
+  spec.name = "sharded-partition-window";
+  spec.variant = scenario::Variant::RaftLow;
+  spec.servers = 3;
+  spec.shards = 2;
+  spec.seed = 5;
+  spec.samples = scenario::SamplePlan::every(1s, 8s);
+
+  auto sc = scenario::ScenarioRunner::materialize_sharded(spec);
+  ASSERT_TRUE(sc->await_all_leaders(30s));
+  const NodeId old_leader = sc->shard(1).current_leader();
+  ASSERT_GE(old_leader, 3);
+
+  spec.faults = scenario::FaultPlan::partitions(
+      {{.start = 500ms, .duration = 3s, .nodes = {old_leader}}});
+  const scenario::ScenarioResult r = scenario::ScenarioRunner::run_on(*sc, spec);
+
+  ASSERT_EQ(r.shard_stats.size(), 2u);
+  EXPECT_GE(r.shard_stats[1].elections, 1u);
+  EXPECT_NE(sc->shard(1).current_leader(), kNoNode);
+  EXPECT_NE(sc->shard(1).current_leader(), old_leader);
+  EXPECT_EQ(r.invariant_violations, 0u);
+}
+
 TEST(PartitionWindows, MinoritySetInsideWindowStillReachesItself) {
   // Two nodes cut together still talk to each other (symmetric set cut, not
   // a full isolation of each) — the window models a group partition.
@@ -478,6 +510,52 @@ TEST(KiloSharded, GeometryChangeRebuildsAtKiloScale) {
   const scenario::ScenarioResult fresh = scenario::ScenarioRunner::run(second);
   EXPECT_EQ(fresh, reused);
   EXPECT_EQ(reused.shard_stats.size(), 16u);
+}
+
+// ---- Run-shape semantics on a sharded deployment ------------------------------------
+
+scenario::ScenarioSpec fault_spec(std::size_t shards, scenario::FaultPlan faults) {
+  scenario::ScenarioSpec spec;
+  spec.name = "sharded-faults";
+  spec.variant = scenario::Variant::RaftLow;
+  spec.servers = 3;
+  spec.shards = shards;
+  spec.seed = 23;
+  spec.faults = std::move(faults);
+  return spec;
+}
+
+TEST(ShardedSpec, MembershipChurnNeedsAStandaloneCluster) {
+  const scenario::FaultPlan churn = scenario::FaultPlan::membership_churn(1);
+  EXPECT_THROW((void)scenario::ScenarioRunner::run(fault_spec(2, churn)), std::runtime_error);
+  // The rule follows the deployment kind, not the group count.
+  const scenario::ScenarioSpec one = fault_spec(1, churn);
+  auto sc = scenario::ScenarioRunner::materialize_sharded(one);
+  EXPECT_THROW((void)scenario::ScenarioRunner::run_on(*sc, one), std::runtime_error);
+}
+
+TEST(ShardedSpec, KillsLandOnEveryGroupInTurn) {
+  const scenario::ScenarioResult r = scenario::ScenarioRunner::run(
+      fault_spec(3, scenario::FaultPlan::leader_kills(3, 1s)));
+  ASSERT_EQ(r.failovers.size(), 3u);
+  for (const scenario::FailoverSample& f : r.failovers) EXPECT_TRUE(f.ok);
+  ASSERT_EQ(r.shard_stats.size(), 3u);
+  for (const scenario::ShardSample& s : r.shard_stats) {
+    EXPECT_GE(s.elections, 1u) << "shard " << s.shard;
+  }
+  EXPECT_EQ(r.invariant_violations, 0u);
+}
+
+TEST(ShardedSpec, RollingRestartVisitsEveryGroup) {
+  const scenario::ScenarioResult r =
+      scenario::ScenarioRunner::run(fault_spec(2, scenario::FaultPlan::rolling_restart(1)));
+  ASSERT_TRUE(r.leader_elected);
+  ASSERT_EQ(r.shard_stats.size(), 2u);
+  for (const scenario::ShardSample& s : r.shard_stats) {
+    EXPECT_GE(s.elections, 1u) << "shard " << s.shard;
+    EXPECT_TRUE(s.leader_elected) << "shard " << s.shard;
+  }
+  EXPECT_EQ(r.invariant_violations, 0u);
 }
 
 TEST(ShardedSpec, SingleShardPathIsUntouched) {

@@ -2,7 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "cluster/cluster.hpp"
-#include "kvstore/client.hpp"
+#include "shard/client.hpp"
 #include "workload/open_loop.hpp"
 
 namespace dyna {
@@ -16,7 +16,7 @@ std::unique_ptr<Cluster> make_loaded_cluster(std::uint64_t seed, Duration servic
   net::LinkCondition link;
   link.rtt = 20ms;
   cfg.links = net::ConditionSchedule::constant(link);
-  cfg.request_service_time = service_time;
+  cfg.command_service_time = service_time;  // group commit off: one round per request
   cfg.durable_log = false;
   auto c = std::make_unique<Cluster>(std::move(cfg));
   if (!c->await_leader(30s)) return nullptr;
@@ -26,7 +26,8 @@ std::unique_ptr<Cluster> make_loaded_cluster(std::uint64_t seed, Duration servic
 TEST(OpenLoop, AchievedMatchesOfferedBelowCapacity) {
   auto c = make_loaded_cluster(1, 100us);  // capacity 10k req/s
   ASSERT_NE(c, nullptr);
-  kv::KvClient client(c->sim(), c->network(), c->server_ids(), c->fork_rng(1));
+  shard::ShardRouter router(1);
+  shard::ShardedKvClient client(*c, router, c->fork_rng(1));
   wl::RampConfig ramp;
   ramp.start_rps = 500;
   ramp.step_rps = 500;
@@ -45,7 +46,8 @@ TEST(OpenLoop, AchievedMatchesOfferedBelowCapacity) {
 TEST(OpenLoop, LatencyFloorIsRoundTripBound) {
   auto c = make_loaded_cluster(2, 50us);
   ASSERT_NE(c, nullptr);
-  kv::KvClient client(c->sim(), c->network(), c->server_ids(), c->fork_rng(3));
+  shard::ShardRouter router(1);
+  shard::ShardedKvClient client(*c, router, c->fork_rng(3));
   wl::RampConfig ramp;
   ramp.start_rps = 200;
   ramp.step_rps = 0;  // single level
@@ -62,7 +64,8 @@ TEST(OpenLoop, LatencyFloorIsRoundTripBound) {
 TEST(OpenLoop, ThroughputPinsAtServiceCapacity) {
   auto c = make_loaded_cluster(3, 1ms);  // capacity 1000 req/s
   ASSERT_NE(c, nullptr);
-  kv::KvClient client(c->sim(), c->network(), c->server_ids(), c->fork_rng(5));
+  shard::ShardRouter router(1);
+  shard::ShardedKvClient client(*c, router, c->fork_rng(5));
   wl::RampConfig ramp;
   ramp.start_rps = 500;
   ramp.step_rps = 500;
@@ -91,7 +94,8 @@ TEST(OpenLoop, HigherServiceTimeLowersPeak) {
   auto run = [](Duration service) {
     auto c = make_loaded_cluster(4, service);
     if (c == nullptr) return 0.0;
-    kv::KvClient client(c->sim(), c->network(), c->server_ids(), c->fork_rng(7));
+    shard::ShardRouter router(1);
+    shard::ShardedKvClient client(*c, router, c->fork_rng(7));
     wl::RampConfig ramp;
     ramp.start_rps = 400;
     ramp.step_rps = 400;
