@@ -100,11 +100,12 @@ void BM_EventQueueDeepSchedule(benchmark::State& state) {
 BENCHMARK(BM_EventQueueDeepSchedule)->Arg(1000)->Arg(100000)->Arg(1000000);
 
 void BM_EventChurnSchedCancel(benchmark::State& state) {
-  // Timer re-arm churn against a deep backlog (1e6 pending at Arg(1000000)):
-  // schedule two deadlines, cancel the near one, fire the far one — the
-  // pattern Raft nodes execute on every heartbeat. The step() at the end
-  // also drains the cancelled entry, so the queue is at steady state across
-  // iterations. The backlog sits ~11 simulated years out: the timed loop
+  // schedule+cancel churn against a deep backlog (1e6 pending at
+  // Arg(1000000)): schedule two deadlines, cancel the near one, fire the far
+  // one — the pattern of a client request timeout cancelled by its reply.
+  // (Raft's timer re-arms no longer take this path: Timer moves its pending
+  // event with Simulator::reschedule.) The step() at the end also drains the
+  // cancelled entry, so the queue is at steady state across iterations. The backlog sits ~11 simulated years out: the timed loop
   // advances the clock 20 ms per iteration and must never reach it.
   sim::Simulator sim;
   for (int i = 0; i < state.range(0); ++i) {

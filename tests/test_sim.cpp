@@ -113,6 +113,64 @@ TEST(Simulator, PendingCountsLiveEvents) {
   EXPECT_EQ(sim.pending(), 0u);
 }
 
+TEST(Simulator, RescheduleKeepsIdAndQueuesBehindSameTimeEvents) {
+  // reschedule = cancel + schedule_at: the moved event takes a fresh
+  // insertion number, so it fires after events already waiting at its new
+  // time, and before events scheduled there afterwards.
+  Simulator sim;
+  std::vector<int> order;
+  const EventId a = sim.schedule_after(5ms, [&] { order.push_back(0); });
+  sim.schedule_after(20ms, [&] { order.push_back(1); });
+  EXPECT_TRUE(sim.reschedule(a, kSimEpoch + 20ms));  // postponed, queued entry kept
+  sim.schedule_after(20ms, [&] { order.push_back(2); });
+  EXPECT_EQ(sim.pending(), 3u);
+  EXPECT_EQ(sim.queued(), 3u);
+  sim.run_for(10ms);
+  EXPECT_TRUE(order.empty());  // the old 5 ms deadline must not fire
+  EXPECT_EQ(sim.queued(), 3u);  // re-keyed in place when it surfaced
+  EXPECT_EQ(sim.executed(), 0u);
+  sim.run_all();
+  EXPECT_EQ(order, (std::vector<int>{1, 0, 2}));
+  EXPECT_FALSE(sim.reschedule(a, sim.now()));  // fired: the id is spent
+}
+
+TEST(Simulator, RescheduledEventCancelsUnderItsOriginalId) {
+  Simulator sim;
+  bool ran = false;
+  const EventId a = sim.schedule_after(5ms, [&] { ran = true; });
+  EXPECT_TRUE(sim.reschedule(a, kSimEpoch + 8ms));
+  EXPECT_TRUE(sim.reschedule(a, kSimEpoch + 2ms));
+  EXPECT_TRUE(sim.cancel(a));
+  EXPECT_FALSE(sim.cancel(a));
+  EXPECT_EQ(sim.pending(), 0u);
+  sim.run_all();
+  EXPECT_FALSE(ran);
+  EXPECT_EQ(sim.now(), kSimEpoch);  // dead entries never move the clock
+}
+
+TEST(Simulator, RescheduleEarlierAndIntoThePast) {
+  Simulator sim;
+  std::vector<std::pair<int, TimePoint>> fired;
+  const EventId a = sim.schedule_after(50ms, [&] { fired.emplace_back(0, sim.now()); });
+  sim.schedule_after(30ms, [&] { fired.emplace_back(1, sim.now()); });
+  EXPECT_TRUE(sim.reschedule(a, kSimEpoch + 10ms));  // earlier: a new entry
+  EXPECT_EQ(sim.pending(), 2u);
+  EXPECT_EQ(sim.queued(), 3u);  // the superseded 50 ms entry is dead
+  const EventId b = sim.schedule_after(40ms, [&] { fired.emplace_back(2, sim.now()); });
+  sim.run_for(20ms);
+  ASSERT_EQ(fired.size(), 1u);
+  EXPECT_EQ(fired[0], std::make_pair(0, kSimEpoch + 10ms));
+  EXPECT_TRUE(sim.reschedule(b, kSimEpoch + 5ms));  // in the past: clamps to now
+  sim.step();
+  ASSERT_EQ(fired.size(), 2u);
+  EXPECT_EQ(fired[1], std::make_pair(2, kSimEpoch + 20ms));
+  sim.run_all();
+  ASSERT_EQ(fired.size(), 3u);
+  EXPECT_EQ(fired[2], std::make_pair(1, kSimEpoch + 30ms));
+  EXPECT_EQ(sim.executed(), 3u);  // re-keys and dead entries are not executions
+  EXPECT_EQ(sim.queued(), 0u);
+}
+
 TEST(Simulator, DeterministicTrace) {
   auto trace = [] {
     Simulator sim;

@@ -2,8 +2,10 @@
 // indistinguishable from fresh construction.
 //
 // Three levels, matching the reset surface:
-//   * Simulator — reset-then-reuse replays a randomized schedule/cancel/run
-//     script identically to a fresh engine (times, order, counters);
+//   * Simulator — reset-then-reuse of an engine holding postponed timers,
+//     superseded and cancelled entries replays a randomized
+//     schedule/cancel/re-arm/run script identically to a fresh engine
+//     (times, order, counters);
 //   * Network — a network that carried traffic, link overrides, partitions,
 //     pauses with parked messages and in-flight deliveries replays a
 //     deterministic script identically to a fresh network after
@@ -14,6 +16,7 @@
 //     resettable (Static/Dynatune) and not (custom factory fallback).
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <tuple>
 #include <vector>
 
@@ -33,12 +36,18 @@ using testutil::constant_link;
 /// Trace of one engine run: (fire time, tag) in execution order.
 using SimTrace = std::vector<std::pair<TimePoint, int>>;
 
-/// Drive `sim` through a seeded random script of schedules, cancels and
-/// steps; returns the execution trace.
+/// Drive `sim` through a seeded random script of schedules, cancels, timer
+/// re-arms (later or earlier than the pending deadline) and steps; returns
+/// the execution trace.
 SimTrace run_sim_script(sim::Simulator& sim, std::uint64_t seed) {
   SimTrace trace;
   Rng rng(seed);
   std::vector<sim::EventId> live;
+  std::vector<std::unique_ptr<sim::Timer>> timers;
+  for (int k = 0; k < 3; ++k) {
+    timers.push_back(std::make_unique<sim::Timer>(
+        sim, [&trace, &sim, k] { trace.emplace_back(sim.now(), 1000 + k); }));
+  }
   for (int round = 0; round < 200; ++round) {
     const int tag = round;
     const auto delay = from_ms(rng.uniform(0.0, 50.0));
@@ -49,6 +58,14 @@ SimTrace run_sim_script(sim::Simulator& sim, std::uint64_t seed) {
       const auto victim = static_cast<std::size_t>(rng.uniform_index(live.size()));
       sim.cancel(live[victim]);  // may be stale: cancel() must cope either way
     }
+    if (rng.bernoulli(0.5)) {
+      sim::Timer& timer = *timers[rng.uniform_index(timers.size())];
+      if (rng.bernoulli(0.1)) {
+        timer.cancel();
+      } else {
+        timer.arm(from_ms(rng.uniform(0.0, 50.0)));
+      }
+    }
     if (rng.bernoulli(0.5)) sim.step();
   }
   sim.run_all();
@@ -57,13 +74,28 @@ SimTrace run_sim_script(sim::Simulator& sim, std::uint64_t seed) {
 
 TEST(SimulatorReset, ResetThenReuseReplaysIdentically) {
   sim::Simulator reused;
-  // Dirty the engine: a full script, plus pending events left behind.
+  // Dirty the engine: a full script, plus pending events left behind — a
+  // timer postponed in place (its queued entry out of date), a timer moved
+  // earlier (its old entry superseded) and a cancelled entry.
   run_sim_script(reused, 7);
   reused.schedule_after(10ms, [] {});
   reused.schedule_after(20ms, [] {});
+  sim::Timer postponed(reused, [] {});
+  postponed.arm(5ms);
+  postponed.arm(30ms);
+  sim::Timer advanced(reused, [] {});
+  advanced.arm(40ms);
+  advanced.arm(15ms);
+  reused.cancel(reused.schedule_after(25ms, [] {}));
+  reused.run_for(8ms);  // the postponed entry surfaces and is re-keyed
+  EXPECT_EQ(reused.pending(), 4u);
+  EXPECT_GT(reused.queued(), reused.pending());
   reused.reset();
+  postponed.forget();
+  advanced.forget();
 
   EXPECT_EQ(reused.pending(), 0u);
+  EXPECT_EQ(reused.queued(), 0u);
   EXPECT_EQ(reused.executed(), 0u);
   EXPECT_EQ(reused.now(), kSimEpoch);
 
