@@ -277,12 +277,17 @@ void Cluster::build_node(NodeId id, bool as_learner) {
   auto node = std::make_unique<raft::RaftNode>(id, std::move(peers), *sim_, *net_, cfg_.raft,
                                                storages_[idx], cfg_.policy_factory(id),
                                                std::move(node_rng));
-  node->set_apply([this, idx](const raft::LogEntry& entry) {
-    return state_machines_[idx]->apply(entry.command.payload);
+  // Zero-copy apply: stored values alias the committed payload in its log
+  // segment (or the snapshot blob), kept alive by the handle.
+  node->set_apply([this, idx](const raft::LogEntry& entry, const raft::SegmentHandle& segment) {
+    if (apply_owner_ != segment) apply_owner_ = segment;
+    return state_machines_[idx]->apply(entry.command.payload, apply_owner_);
   });
   node->set_snapshot_hooks(
       [this, idx] { return state_machines_[idx]->snapshot(); },
-      [this, idx](const raft::Snapshot& snap) { state_machines_[idx]->restore(snap.data); });
+      [this, idx](const raft::SnapshotHandle& snap) {
+        state_machines_[idx]->restore(snap->data, snap);
+      });
   // ReadIndex wiring (engages only when raft.read_index is set): the kv
   // layer classifies reads, and a served read queries the state machine
   // directly — apply_one, since a lone GET is never a batch frame.

@@ -235,6 +235,11 @@ class Cluster {
   std::unique_ptr<PerfModel> perf_;
   std::vector<std::shared_ptr<raft::Storage>> storages_;
   std::vector<std::unique_ptr<kv::KvStateMachine>> state_machines_;
+  /// The log segment the last apply handed the KV store, converted to its
+  /// owner type. Consecutive entries of a segment, and every replica that
+  /// applies the same shared segment, reuse it: one conversion per segment
+  /// instead of one per entry.
+  kv::Owner apply_owner_;
   std::vector<std::unique_ptr<raft::RaftNode>> nodes_;
   std::vector<std::unique_ptr<ServiceQueue>> service_;
   /// Server id per slot, kNoNode once removed. Slots are never erased — the

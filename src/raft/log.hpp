@@ -33,6 +33,16 @@
 // drops them); a run straddling the line keeps its segment whole and only
 // advances its slice bookkeeping. Segments are never split or rewritten, so
 // the view-validity guarantee above holds across compaction too.
+//
+// Apply is zero-copy on top of this: for_each_sealed hands each committed
+// entry to the apply loop together with its segment's handle, and the KV
+// store keeps each value as a view into the entry's payload plus that
+// handle. Every replica of a PUT then aliases the one copy its shared
+// segment holds. A value pins exactly one segment, and no segment grows
+// with run length (a broadcast round, a merged catch-up view of at most
+// max_entries_per_append entries, or a restart's replayed durable suffix),
+// so the memory kept alive past compaction is bounded by live keys x the
+// largest segment.
 #pragma once
 
 #include <algorithm>
@@ -267,8 +277,8 @@ class RaftLog {
   }
 
   /// Invoke fn(entry) for each index in [first, last], walking runs and the
-  /// tail as contiguous arrays — the apply loop's sequential scan without a
-  /// per-entry run lookup.
+  /// tail as contiguous arrays — a sequential scan without a per-entry run
+  /// lookup.
   template <typename Fn>
   void for_each(LogIndex first, LogIndex last, Fn&& fn) const {
     DYNA_EXPECTS(first >= first_index() && last <= last_index());
@@ -280,6 +290,27 @@ class RaftLog {
       for (; i <= stop; ++i, ++p) fn(*p);
     }
     for (; i <= last; ++i) fn(tail_[static_cast<std::size_t>(i - tail_first_)]);
+  }
+
+  /// Invoke fn(entry, segment) for each index in [first, last], where
+  /// `segment` is the immutable segment holding the entry: a keep-alive
+  /// handle under which the entry's bytes never change, so the apply loop
+  /// can hand it to a state machine that keeps views into the payload. A
+  /// range reaching into the open tail seals it first (a move, not a copy).
+  /// Each run's handle is copied out of the run chain before its entries
+  /// are visited, so the callback holds no reference into it.
+  template <typename Fn>
+  void for_each_sealed(LogIndex first, LogIndex last, Fn&& fn) {
+    DYNA_EXPECTS(first >= first_index() && last <= last_index());
+    if (last >= tail_first_) seal_tail();
+    LogIndex i = first;
+    while (i <= last) {
+      const Run& run = run_containing(i);
+      const SegmentHandle seg = run.seg;
+      const LogIndex stop = std::min(last, run.last_index());
+      const LogEntry* p = seg->data() + run.offset + (i - run.first);
+      for (; i <= stop; ++i, ++p) fn(*p, seg);
+    }
   }
 
   /// Shared view over [first, first + count). Seals the open tail when the

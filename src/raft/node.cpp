@@ -81,7 +81,7 @@ void RaftNode::start() {
   log_.assign(compacted_to, compacted_term, storage_->load_log());
   if (snapshot_) {
     DYNA_ASSERT(snapshot_->last_index >= compacted_to);
-    if (restore_) restore_(*snapshot_);
+    if (restore_) restore_(snapshot_);
     commit_index_ = snapshot_->last_index;
     last_applied_ = snapshot_->last_index;
     // Membership as of the snapshot line; config entries in the replayed
@@ -615,19 +615,24 @@ void RaftNode::maybe_advance_commit() {
 }
 
 void RaftNode::apply_committed() {
-  // Walk [last_applied_+1, commit_index_] as contiguous runs. Applying an
-  // entry cannot re-enter the log or move commit_index_ synchronously
-  // (sends only schedule events), so one pass per call suffices.
+  // Walk [last_applied_+1, commit_index_] as contiguous runs of sealed
+  // segments, handing the hook each entry's segment (zero-copy apply). The
+  // range is usually sealed already — the broadcast that replicated it
+  // sealed it — except on a single-voter leader, after the entry-by-entry
+  // append fallback and in restart replay; there the open tail is sealed
+  // first (a move). Applying an entry cannot re-enter the log or move
+  // commit_index_ synchronously (sends only schedule events), so one pass
+  // per call suffices.
   if (last_applied_ >= commit_index_) return;
   const LogIndex from = last_applied_ + 1;
   const LogIndex to = commit_index_;
-  log_.for_each(from, to, [&](const LogEntry& entry) {
+  log_.for_each_sealed(from, to, [&](const LogEntry& entry, const SegmentHandle& segment) {
     ++last_applied_;
     std::string result;
     if (entry.command.is_config()) {
       apply_config_change(entry);
     } else if (apply_ && !entry.command.is_noop()) {
-      result = apply_(entry);
+      result = apply_(entry, segment);
     }
     for (Observer* o : observers_) o->on_entry_committed(id_, entry, sim_->now());
     if (role_ == Role::Leader && !batch_routes_.empty() &&
@@ -938,7 +943,7 @@ void RaftNode::on_install_snapshot(NodeId from, const InstallSnapshotRequest& re
     resp.last_index = snap.last_index;
   } else {
     crash_point(fault::CrashPoint::BeforeSnapshotInstall);
-    if (restore_) restore_(snap);
+    if (restore_) restore_(req.snapshot);
     snapshot_ = req.snapshot;  // adopt the shared handle; no blob copy
     storage_->save_snapshot(snapshot_);
     if (snap.last_index <= last_log_index() &&

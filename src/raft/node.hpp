@@ -34,8 +34,11 @@ namespace dyna::raft {
 class RaftNode {
  public:
   /// Applies a committed entry to the host's state machine. Return value is
-  /// the result string sent back to the client (leader only).
-  using ApplyFn = std::function<std::string(const LogEntry&)>;
+  /// the result string sent back to the client (leader only). `segment` is
+  /// the immutable log segment holding the entry: while any copy of the
+  /// handle lives, the entry's payload bytes stay alive and unchanged, so the
+  /// host may keep views into them instead of copying (zero-copy apply).
+  using ApplyFn = std::function<std::string(const LogEntry&, const SegmentHandle& segment)>;
 
   /// Serializes the host state machine as of the entries applied so far
   /// (called only from the apply path, so the machine is exactly at
@@ -43,8 +46,10 @@ class RaftNode {
   using SnapshotFn = std::function<std::string()>;
 
   /// Resets the host state machine to a snapshot's contents (recovery and
-  /// InstallSnapshot adoption).
-  using RestoreFn = std::function<void(const Snapshot&)>;
+  /// InstallSnapshot adoption). The handle keeps the immutable blob alive, so
+  /// the host may keep views into `snapshot->data` for as long as it holds a
+  /// copy of it.
+  using RestoreFn = std::function<void(const SnapshotHandle& snapshot)>;
 
   /// Classifies a client payload as read-only (ReadIndex eligibility). The
   /// raft layer stays payload-agnostic: the host supplies the classifier.

@@ -1,5 +1,12 @@
-// KV command codec and state machine semantics.
+// KV command codec and state machine semantics, including zero-copy values:
+// a stored value aliases the payload (or snapshot blob) it came from under
+// the owner handed to apply/restore, and the owner-less entry points copy
+// what they store once so a caller may free its buffer right after the call.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <memory>
+#include <string>
 
 #include "common/rng.hpp"
 #include "kvstore/command.hpp"
@@ -122,6 +129,125 @@ TEST(StateMachine, DeterministicReplay) {
   }
   EXPECT_EQ(a.data(), b.data());
   EXPECT_EQ(a.revision(), b.revision());
+}
+
+// ---- Zero-copy values: views kept alive by their owner --------------------------
+
+/// Scribble over and free a caller's buffer, as a caller that only lent it may.
+void scribble_and_free(std::string& buf) {
+  std::fill(buf.begin(), buf.end(), '#');
+  std::string().swap(buf);
+}
+
+TEST(ZeroCopy, OwnedApplyAliasesThePayloadAndPinsItsOwner) {
+  const auto payload = std::make_shared<const std::string>(
+      encode({Op::Put, "k", std::string(40, 'v'), {}}));
+  KvStateMachine sm;
+  EXPECT_EQ(sm.apply(*payload, payload), "OK 1");
+  const Value& v = sm.data().at("k");
+  EXPECT_EQ(v, std::string(40, 'v'));
+  // A view into the payload itself, not a copy of it.
+  EXPECT_GE(v.bytes.data(), payload->data());
+  EXPECT_LE(v.bytes.data() + v.bytes.size(), payload->data() + payload->size());
+  EXPECT_EQ(v.owner.get(), payload.get());
+  EXPECT_EQ(payload.use_count(), 2);
+
+  // Overwriting the key drops the only reference the store held.
+  (void)sm.apply_one(encode({Op::Put, "k", "w", {}}));
+  EXPECT_EQ(payload.use_count(), 1);
+}
+
+TEST(ZeroCopy, BatchMembersAliasTheFrame) {
+  std::string frame;
+  batch_append(frame, encode({Op::Put, "a", std::string(32, '1'), {}}));
+  batch_append(frame, encode({Op::Put, "b", std::string(32, '2'), {}}));
+  const auto owned = std::make_shared<const std::string>(frame);
+  KvStateMachine sm;
+  (void)sm.apply(*owned, owned);
+  for (const char* key : {"a", "b"}) {
+    const Value& v = sm.data().at(key);
+    EXPECT_EQ(v.owner.get(), owned.get()) << key;
+    EXPECT_GE(v.bytes.data(), owned->data()) << key;
+    EXPECT_LE(v.bytes.data() + v.bytes.size(), owned->data() + owned->size()) << key;
+  }
+}
+
+TEST(ZeroCopy, OwnerlessApplyCopiesWhatItStores) {
+  const std::string value(40, 'v');
+  KvStateMachine sm;
+  std::string payload = encode({Op::Put, "k", value, {}});
+  EXPECT_EQ(sm.apply(payload), "OK 1");
+  scribble_and_free(payload);
+  EXPECT_EQ(sm.data().at("k"), value);
+
+  // A batch frame through the same owner-less entry point.
+  std::string frame;
+  batch_append(frame, encode({Op::Put, "a", value, {}}));
+  batch_append(frame, encode({Op::Cas, "k", std::string(40, 'w'), value}));
+  (void)sm.apply(frame);
+  scribble_and_free(frame);
+  EXPECT_EQ(sm.data().at("a"), value);
+  EXPECT_EQ(sm.data().at("k"), std::string(40, 'w'));
+  EXPECT_EQ(sm.apply(encode({Op::Get, "k", {}, {}})), std::string(40, 'w'));
+}
+
+TEST(ZeroCopy, OwnerlessApplyOneCopiesPutAndCas) {
+  const std::string first(40, 'p');
+  const std::string second(40, 'c');
+  KvStateMachine sm;
+  std::string put = encode({Op::Put, "k", first, {}});
+  EXPECT_EQ(sm.apply_one(put), "OK 1");
+  scribble_and_free(put);
+  EXPECT_EQ(sm.data().at("k"), first);
+
+  std::string cas = encode({Op::Cas, "k", second, first});
+  EXPECT_EQ(sm.apply_one(cas), "OK 2");
+  scribble_and_free(cas);
+  EXPECT_EQ(sm.data().at("k"), second);
+  EXPECT_EQ(sm.apply_one(encode({Op::Get, "k", {}, {}})), second);
+}
+
+TEST(ZeroCopy, OwnerlessRestoreCopiesTheBlob) {
+  KvStateMachine a;
+  (void)a.apply(encode({Op::Put, "k", std::string(40, 'r'), {}}));
+  (void)a.apply(encode({Op::Put, "j", "short", {}}));
+  std::string blob = a.snapshot();
+  KvStateMachine b;
+  b.restore(blob);
+  scribble_and_free(blob);
+  EXPECT_TRUE(a == b);
+  EXPECT_EQ(b.data().at("k"), std::string(40, 'r'));
+  EXPECT_EQ(b.revision(), 2u);
+}
+
+TEST(ZeroCopy, OwnedRestoreAliasesTheBlob) {
+  KvStateMachine a;
+  (void)a.apply(encode({Op::Put, "k", std::string(40, 'r'), {}}));
+  const auto blob = std::make_shared<const std::string>(a.snapshot());
+  KvStateMachine b;
+  b.restore(*blob, blob);
+  const Value& v = b.data().at("k");
+  EXPECT_EQ(v.owner.get(), blob.get());
+  EXPECT_GE(v.bytes.data(), blob->data());
+  EXPECT_LE(v.bytes.data() + v.bytes.size(), blob->data() + blob->size());
+  EXPECT_TRUE(a == b);
+}
+
+TEST(ZeroCopy, ValueEqualityIsExactContentEquality) {
+  const std::string bytes = "0123456789abcdef0123";
+  const std::string same = bytes;
+  const std::string_view view(bytes);
+  const Value v{view, nullptr};
+  const Value aliased{view, nullptr};
+  const Value copied{same, nullptr};
+  const Value prefix{view.substr(0, 5), nullptr};  // same pointer, shorter
+  const Value shifted{std::string_view(same).substr(1), nullptr};
+  EXPECT_TRUE(v == aliased);
+  EXPECT_TRUE(v == copied);
+  EXPECT_FALSE(v == prefix);
+  EXPECT_FALSE(v == shifted);
+  EXPECT_TRUE(v == std::string_view(same));
+  EXPECT_FALSE(v == std::string_view("0123"));
 }
 
 /// Codec property sweep: random commands always round-trip.

@@ -1,4 +1,5 @@
-// Log replication: commitment, catch-up, conflict resolution, client path.
+// Log replication: commitment, catch-up, conflict resolution, client path,
+// and zero-copy apply (replicas alias the one shared copy of a value).
 #include <gtest/gtest.h>
 
 #include "cluster/cluster.hpp"
@@ -27,6 +28,44 @@ TEST(Replication, SubmittedEntryCommitsEverywhere) {
   for (const NodeId id : c.server_ids()) {
     EXPECT_GE(c.node(id).commit_index(), *index) << "node " << id;
     EXPECT_EQ(c.state_machine(id).data().at("k"), "v") << "node " << id;
+  }
+}
+
+TEST(Replication, ReplicasAliasOneCopyOfAReplicatedValue) {
+  // Zero-copy apply: followers splice the leader's segment into their logs,
+  // and every replica's stored value is a view into that one segment — the
+  // same bytes, not three copies of them.
+  Cluster c(cluster::make_raft_config(3, 5));
+  ASSERT_TRUE(c.await_leader(30s));
+  const NodeId leader = c.current_leader();
+  const std::string value(40, 'z');  // past the 15-byte small-string buffer
+  ASSERT_TRUE(c.node(leader).submit(make_cmd("k", value)).has_value());
+  c.sim().run_for(2s);
+  const char* shared = c.state_machine(leader).data().at("k").bytes.data();
+  for (const NodeId id : c.server_ids()) {
+    EXPECT_EQ(c.state_machine(id).data().at("k"), value) << "node " << id;
+    EXPECT_EQ(c.state_machine(id).data().at("k").bytes.data(), shared) << "node " << id;
+  }
+}
+
+TEST(Replication, SingleServerAppliesFromSealedSegments) {
+  // A lone voter never ships a view, so its apply loop seals the open tail
+  // itself before handing entries out; later appends into the fresh tail
+  // must leave the values it aliased intact.
+  Cluster c(cluster::make_raft_config(1, 6));
+  ASSERT_TRUE(c.await_leader(30s));
+  const NodeId leader = c.current_leader();
+  for (int i = 0; i < 50; ++i) {
+    const std::string value(32, static_cast<char>('a' + i % 26));
+    ASSERT_TRUE(c.node(leader).submit(make_cmd("k" + std::to_string(i % 5), value)).has_value());
+    c.sim().run_for(10ms);
+  }
+  c.sim().run_for(1s);
+  EXPECT_GT(c.node(leader).log().sealed_runs(), 0u);
+  for (int k = 0; k < 5; ++k) {
+    EXPECT_EQ(c.state_machine(leader).data().at("k" + std::to_string(k)),
+              std::string(32, static_cast<char>('a' + (45 + k) % 26)))
+        << "k" << k;
   }
 }
 

@@ -12,11 +12,18 @@
 //     converges through InstallSnapshot, not full replay;
 //   * restart applies exactly (snapshot_index, commit] — once;
 //   * Cluster::restart over log-discarding storage is rejected loudly;
-//   * crash/restart sweeps remain bit-identical across thread counts.
+//   * crash/restart sweeps remain bit-identical across thread counts;
+//   * zero-copy apply: the apply loop hands each entry its owning segment,
+//     an overwritten value stops pinning its segment once compaction has
+//     passed it, and values restored from a snapshot (installed or
+//     recovered at restart) or replayed from the log outlive every other
+//     holder of those bytes.
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "cluster/cluster.hpp"
@@ -152,6 +159,36 @@ TEST(LogCompaction, AssignWithDurableCompactionLine) {
   EXPECT_EQ(log.last_index(), 45u);
   EXPECT_EQ(log.term_at(40), 3u);
   EXPECT_EQ(log.entry(43).index, 43u);
+}
+
+TEST(LogCompaction, ForEachSealedHandsEachEntryItsOwningSegment) {
+  raft::RaftLog log;
+  for (raft::LogIndex i = 1; i <= 4; ++i) log.append(entry_of(1, i, "p" + std::to_string(i)));
+  const raft::EntryView shipped = log.view(1, 4);  // sealed run [1, 4]
+  for (raft::LogIndex i = 5; i <= 7; ++i) log.append(entry_of(1, i, "p" + std::to_string(i)));
+
+  std::vector<const raft::LogSegment*> owners;
+  raft::SegmentHandle last;
+  log.for_each_sealed(3, 6, [&](const raft::LogEntry& e, const raft::SegmentHandle& seg) {
+    ASSERT_GE(e.index, seg->first_index());
+    ASSERT_LE(e.index, seg->last_index());
+    EXPECT_EQ(&e, seg->data() + (e.index - seg->first_index()));  // lives in seg
+    owners.push_back(seg.get());
+    last = seg;
+  });
+  ASSERT_EQ(owners.size(), 4u);
+  EXPECT_EQ(owners[0], shipped.segment().get());
+  EXPECT_EQ(owners[1], shipped.segment().get());
+  // The open tail [5, 7] was sealed whole (a move) before being handed out.
+  EXPECT_NE(owners[2], shipped.segment().get());
+  EXPECT_EQ(owners[2], owners[3]);
+  EXPECT_EQ(log.sealed_runs(), 2u);
+  EXPECT_EQ(last->last_index(), 7u);
+
+  // The handle keeps the entries readable after the log drops them.
+  log.compact_to(7, 1);
+  EXPECT_EQ(log.sealed_runs(), 0u);
+  EXPECT_EQ(last->data()[1].command.payload, "p6");
 }
 
 /// Randomized append/truncate/view/compact script against a reference
@@ -372,6 +409,134 @@ TEST(SnapshotCompaction, CrashedFollowerRecoversAcrossCompactionPoint) {
   EXPECT_EQ(c.state_machine(victim).revision(), c.state_machine(leader).revision());
   EXPECT_EQ(c.state_machine(victim).size(), c.state_machine(leader).size());
   EXPECT_GT(c.node(victim).snapshot_index(), 0u);
+}
+
+// ---- Zero-copy values across compaction, InstallSnapshot and restart --------------
+
+/// Drive `n` filler PUTs over `keys` distinct keys through the leader.
+void write_fillers(Cluster& c, NodeId leader, const std::string& prefix, int n, int keys) {
+  for (int i = 0; i < n; ++i) {
+    c.node(leader).submit(make_cmd(prefix + std::to_string(i % keys), "f" + std::to_string(i)));
+    if (i % 10 == 0) c.sim().run_for(100ms);
+  }
+  c.sim().run_for(2s);
+}
+
+TEST(SnapshotCompaction, OverwrittenValueReleasesItsSegmentOnceCompactedPast) {
+  // A stored value pins the segment its bytes live in, and only while the
+  // key still holds it: once the key is overwritten and every replica has
+  // compacted past the entry, no replica keeps that segment alive.
+  Cluster c(snapshot_config(3, 27, /*threshold=*/20, /*trailing=*/5));
+  ASSERT_TRUE(c.await_leader(30s));
+  const NodeId leader = c.current_leader();
+  c.sim().run_for(1s);
+  const auto index = c.node(leader).submit(make_cmd("k", std::string(64, 'a')));
+  ASSERT_TRUE(index.has_value());
+  c.sim().run_for(1s);
+  std::vector<std::weak_ptr<const void>> segments;
+  for (const NodeId id : c.server_ids()) {
+    segments.emplace_back(c.state_machine(id).data().at("k").owner);
+    EXPECT_FALSE(segments.back().expired()) << "node " << id;
+  }
+
+  c.node(leader).submit(make_cmd("k", std::string(64, 'b')));
+  write_fillers(c, leader, "f", 100, 10);
+  for (const NodeId id : c.server_ids()) {
+    ASSERT_GT(c.node(id).log().compacted_to(), *index) << "node " << id;
+    EXPECT_EQ(c.state_machine(id).data().at("k"), std::string(64, 'b')) << "node " << id;
+  }
+  for (std::size_t i = 0; i < segments.size(); ++i) {
+    EXPECT_TRUE(segments[i].expired()) << "replica " << i;
+  }
+}
+
+TEST(SnapshotCompaction, InstalledValuesOutliveTheSnapshotTheyAlias) {
+  // A follower restored by InstallSnapshot holds views into the leader's
+  // blob. They must stay valid after the install message, the leader's
+  // snapshot and the follower's own copy of it are all superseded.
+  Cluster c(snapshot_config(3, 28, /*threshold=*/30, /*trailing=*/5));
+  ASSERT_TRUE(c.await_leader(30s));
+  const NodeId leader = c.current_leader();
+  const NodeId lagger = leader == 0 ? 1 : 0;
+  for (const NodeId id : c.server_ids()) {
+    if (id == lagger) continue;
+    c.network().set_blocked(id, lagger, true);
+    c.network().set_blocked(lagger, id, true);
+  }
+  for (int i = 0; i < 5; ++i) {
+    const std::string value(48, static_cast<char>('a' + i));
+    c.node(leader).submit(make_cmd("s" + std::to_string(i), value));
+  }
+  write_fillers(c, leader, "f", 100, 10);
+  ASSERT_GT(c.node(leader).log().compacted_to(), c.node(lagger).last_log_index());
+  for (const NodeId id : c.server_ids()) {
+    if (id == lagger) continue;
+    c.network().set_blocked(id, lagger, false);
+    c.network().set_blocked(lagger, id, false);
+  }
+  c.sim().run_for(5s);
+  ASSERT_EQ(c.node(lagger).snapshots_taken(), 0u);  // installed, not taken
+  const std::weak_ptr<const raft::Snapshot> installed = c.node(lagger).snapshot();
+  ASSERT_FALSE(installed.expired());
+  EXPECT_EQ(c.state_machine(lagger).data().at("s0").owner.get(), installed.lock().get());
+
+  // Supersede every other holder of the installed blob: both sides take
+  // newer snapshots (replacing node and storage handles) and the message
+  // that carried it is long delivered. The s-keys are never rewritten.
+  write_fillers(c, leader, "g", 100, 10);
+  ASSERT_GT(c.node(lagger).snapshots_taken(), 0u);
+  ASSERT_NE(c.node(lagger).snapshot(), installed.lock());
+  ASSERT_NE(c.node(leader).snapshot(), installed.lock());
+  EXPECT_FALSE(installed.expired());  // only the restored values hold it now
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_EQ(c.state_machine(lagger).data().at("s" + std::to_string(i)),
+              std::string(48, static_cast<char>('a' + i)))
+        << "s" << i;
+  }
+  EXPECT_TRUE(c.state_machine(lagger) == c.state_machine(leader));
+}
+
+TEST(SnapshotCompaction, RestartedValuesOutliveTheSnapshotAndLogTheyAlias) {
+  // A restarted node restores from its persisted snapshot and replays the
+  // durable suffix from a freshly sealed segment; both stay alive through
+  // the values that alias them after newer snapshots and compaction have
+  // dropped them from the node and its storage.
+  Cluster c(snapshot_config(3, 29, /*threshold=*/20, /*trailing=*/5));
+  ASSERT_TRUE(c.await_leader(30s));
+  const NodeId leader = c.current_leader();
+  const NodeId victim = leader == 0 ? 1 : 0;
+  for (int i = 0; i < 5; ++i) {
+    const std::string value(48, static_cast<char>('a' + i));
+    c.node(leader).submit(make_cmd("r" + std::to_string(i), value));
+  }
+  write_fillers(c, leader, "f", 30, 10);
+  ASSERT_GT(c.node(victim).snapshots_taken(), 0u);
+  // Written after the victim's snapshot: comes back by log replay.
+  const auto replayed_index = c.node(leader).submit(make_cmd("t", std::string(48, 't')));
+  ASSERT_TRUE(replayed_index.has_value());
+  c.sim().run_for(1s);
+  ASSERT_GT(*replayed_index, c.node(victim).snapshot_index());
+  ASSERT_GE(c.node(victim).last_applied(), *replayed_index);
+
+  c.crash(victim);
+  c.restart(victim);
+  c.sim().run_for(2s);
+  const std::weak_ptr<const raft::Snapshot> recovered = c.node(victim).snapshot();
+  EXPECT_EQ(c.state_machine(victim).data().at("r0").owner.get(), recovered.lock().get());
+  const std::weak_ptr<const void> replayed = c.state_machine(victim).data().at("t").owner;
+
+  write_fillers(c, leader, "g", 100, 10);
+  ASSERT_NE(c.node(victim).snapshot(), recovered.lock());
+  ASSERT_GT(c.node(victim).log().compacted_to(), *replayed_index);
+  EXPECT_FALSE(recovered.expired());
+  EXPECT_FALSE(replayed.expired());
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_EQ(c.state_machine(victim).data().at("r" + std::to_string(i)),
+              std::string(48, static_cast<char>('a' + i)))
+        << "r" << i;
+  }
+  EXPECT_EQ(c.state_machine(victim).data().at("t"), std::string(48, 't'));
+  EXPECT_TRUE(c.state_machine(victim) == c.state_machine(leader));
 }
 
 /// Per-node apply ledger: every on_entry_committed lands here, in order.
