@@ -114,12 +114,12 @@ FaultRow measure_cell(const FaultClass& fc, scenario::Variant variant, std::size
 
   FaultRow row;
   row.fault = fc.name;
-  row.variant = std::string(to_string(variant));
   row.servers = servers;
   row.seeds = seeds;
 
   std::vector<scenario::FailoverSample> failovers;
   for (const scenario::ScenarioResult& r : scenario::ScenarioRunner::run_sweep(sweep)) {
+    row.variant = r.variant;
     row.elected += r.leader_elected ? 1 : 0;
     row.violations += r.invariant_violations;
     row.firings += r.crash_firings;

@@ -4,10 +4,10 @@
 // substrate sweep path and streamed straight into the CSV sink (bounded
 // memory regardless of grid size).
 //
-// The policy axis mixes the paper's built-in variants with a custom policy
-// registered under a first-class name (scenario::PolicyRegistry) — the
-// registered name is what appears in the variant column of the table and
-// the CSV, not an anonymous-custom label.
+// The policy axis mixes the paper's built-in variants with a custom policy:
+// a config_factory whose config carries its own name, so that name is what
+// appears in the variant column of the table and the CSV. It runs as a
+// second sweep into the same sink, right after the built-in variants.
 //
 // A shards axis rides on top (--shards=1,4 by default): at each shard count
 // above 1 the grid re-runs Dynatune vs static Raft with k consensus groups
@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "common/cli.hpp"
-#include "scenario/registry.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/sink.hpp"
 
@@ -48,16 +47,15 @@ std::vector<Condition> conditions() {
   return out;
 }
 
-/// A custom policy under a first-class name: Dynatune with a paranoid safety
+/// A custom policy under its own name: Dynatune with a paranoid safety
 /// factor (Et = mu + 4*sigma) — the kind of one-line variant a comparison
 /// study wants to drop into the grid without forking the harness.
-void register_custom_policies() {
-  scenario::PolicyRegistry::global().add(
-      "Dynatune-s4", [](std::size_t servers, std::uint64_t seed) {
-        dt::DynatuneConfig dt;
-        dt.safety_factor = 4.0;
-        return cluster::make_dynatune_config(servers, seed, dt);
-      });
+cluster::ClusterConfig dynatune_s4(std::size_t servers, std::uint64_t seed) {
+  dt::DynatuneConfig dt;
+  dt.safety_factor = 4.0;
+  cluster::ClusterConfig cfg = cluster::make_dynatune_config(servers, seed, dt);
+  cfg.name = "Dynatune-s4";
+  return cfg;
 }
 
 /// Streaming tee: forwards every trial to the CSV sink (when given) while
@@ -103,8 +101,6 @@ int main(int argc, char** argv) {
   const auto threads = static_cast<unsigned>(cli.get_or("threads", std::int64_t{0}));
   const auto shard_counts = cli.get_sizes("shards", {1, 4});
 
-  register_custom_policies();
-
   metrics::banner("Policy grid: tuning policies x network conditions, seed-paired");
 
   scenario::SweepSpec sweep;
@@ -125,17 +121,6 @@ int main(int argc, char** argv) {
   std::size_t trials = 0;
   for (const std::size_t shards : shard_counts) {
     sweep.base.shards = shards;
-    if (shards == 1) {
-      // The classic grid: every policy, single group.
-      sweep.variants = {scenario::Variant::Raft, scenario::Variant::Dynatune,
-                        scenario::Variant::FixK};
-      sweep.policies = {"Dynatune-s4"};
-    } else {
-      // Sharded columns: the headline Dynatune-vs-static question, k groups
-      // contending on one shared network. servers stays the per-group size.
-      sweep.variants = {scenario::Variant::Raft, scenario::Variant::Dynatune};
-      sweep.policies = {};
-    }
     for (const Condition& cond : conditions()) {
       sweep.base.name = shards == 1 ? cond.name
                                     : cond.name + "-s" + std::to_string(shards);
@@ -145,8 +130,24 @@ int main(int argc, char** argv) {
       // bounded at any grid size (results arrive in enumeration order,
       // cell-major).
       GridSink sink(csv.get(), seeds, table);
-      scenario::ScenarioRunner::run_sweep(sweep, sink);
-      trials += (sweep.variants.size() + sweep.policies.size()) * seeds;
+      if (shards == 1) {
+        // The classic grid: every policy, single group. The custom policy
+        // is a second sweep into the same sink, so its cell comes last.
+        sweep.variants = {scenario::Variant::Raft, scenario::Variant::Dynatune,
+                          scenario::Variant::FixK};
+        scenario::ScenarioRunner::run_sweep(sweep, sink);
+        scenario::SweepSpec custom = sweep;
+        custom.variants = {};
+        custom.base.config_factory = dynatune_s4;
+        scenario::ScenarioRunner::run_sweep(custom, sink);
+        trials += (sweep.variants.size() + 1) * seeds;
+      } else {
+        // Sharded columns: the headline Dynatune-vs-static question, k groups
+        // contending on one shared network. servers stays the per-group size.
+        sweep.variants = {scenario::Variant::Raft, scenario::Variant::Dynatune};
+        scenario::ScenarioRunner::run_sweep(sweep, sink);
+        trials += sweep.variants.size() * seeds;
+      }
     }
   }
   table.print();

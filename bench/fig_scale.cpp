@@ -65,7 +65,6 @@ struct ScaleRow {
 ScaleRow measure_cell(scenario::Variant variant, std::size_t n, std::size_t kills,
                       Duration steady, std::uint64_t seed) {
   ScaleRow row;
-  row.variant = std::string(to_string(variant));
   row.servers = n;
 
   scenario::ScenarioSpec spec;
@@ -83,6 +82,7 @@ ScaleRow measure_cell(scenario::Variant variant, std::size_t n, std::size_t kill
     row.elect_ms = elected ? to_ms(c->sim().now()) : -1.0;
   }
   const scenario::ScenarioResult result = scenario::ScenarioRunner::run(spec);
+  row.variant = result.variant;
   const scenario::FailoverStats stats = scenario::summarize_failovers(result.failovers);
   row.detect_ms = stats.detection.mean;
   row.ots_ms = stats.ots.mean;

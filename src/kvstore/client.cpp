@@ -82,16 +82,6 @@ void KvClient::get(std::string key, DoneFn done) {
   submit(encode(cmd), std::move(done));
 }
 
-void KvClient::del(std::string key, DoneFn done) {
-  KvCommand cmd{Op::Del, std::move(key), {}, {}};
-  submit(encode(cmd), std::move(done));
-}
-
-void KvClient::cas(std::string key, std::string expected, std::string value, DoneFn done) {
-  KvCommand cmd{Op::Cas, std::move(key), std::move(value), std::move(expected)};
-  submit(encode(cmd), std::move(done));
-}
-
 void KvClient::submit(std::string payload, DoneFn done) {
   const std::uint64_t seq = next_seq_++;
   Pending& p = insert_pending(seq);

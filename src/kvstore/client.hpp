@@ -98,8 +98,6 @@ class KvClient {
 
   void put(std::string key, std::string value, DoneFn done);
   void get(std::string key, DoneFn done);
-  void del(std::string key, DoneFn done);
-  void cas(std::string key, std::string expected, std::string value, DoneFn done);
 
   /// Fire a raw encoded command (workload generator path).
   void submit(std::string payload, DoneFn done);

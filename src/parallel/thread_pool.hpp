@@ -1,225 +1,54 @@
-// Work-stealing thread pool for trial-level parallelism.
+// Worker threads for trial-level parallelism.
 //
 // Discrete-event trials are single-threaded by design (determinism); Monte
 // Carlo sweeps run many independent trials, so the parallelism lives here.
-// The pool is built for the sweep-scale dispatch pattern (thousands of small
-// tasks posted in one burst):
-//
-//  * one deque per worker instead of a single mutex-guarded queue — posting
-//    and popping touch only that worker's lock, and an idle worker steals
-//    from the *back* of a loaded peer's deque. Owners drain front-to-back:
-//    a burst posts each worker a contiguous run of trial blocks, so the
-//    owner ascends its run in order (which keeps streaming sinks' reorder
-//    window small) while thieves peel blocks off the far end — the
-//    tail-balancing steal;
-//  * tasks are sim::InlineFn (48-byte small-buffer callables) rather than
-//    std::function — a chunk descriptor is a few scalars, so posting a task
-//    never heap-allocates;
-//  * post_batch() hands a whole burst of tasks to the pool with one lock
-//    acquisition per worker deque, not one per task.
-//
-// Exceptions propagate to the waiter (first one wins), matching the old
-// single-queue pool. Tasks may post further tasks from inside a worker.
+// ThreadPool::run starts a fixed set of workers on one body, joins them and
+// rethrows the first exception. There is no task queue: a sweep's work is
+// known up front, so the body claims it itself (see trial_runner.hpp).
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
-#include <deque>
+#include <algorithm>
 #include <exception>
-#include <memory>
 #include <mutex>
 #include <thread>
-#include <utility>
 #include <vector>
-
-#include "common/check.hpp"
-#include "sim/inline_fn.hpp"
 
 namespace dyna::par {
 
 class ThreadPool {
  public:
-  /// Move-only small-buffer callable (see sim/inline_fn.hpp — a generic
-  /// utility that happens to live with its first user, the event engine).
-  using Task = sim::InlineFn;
-
-  explicit ThreadPool(unsigned threads = std::thread::hardware_concurrency()) {
-    if (threads == 0) threads = 1;
-    shard_count_ = threads;
-    shards_ = std::make_unique<Shard[]>(threads);
-    workers_.reserve(threads);
-    for (unsigned i = 0; i < threads; ++i) {
-      workers_.emplace_back([this, i] { worker_loop(i); });
-    }
-  }
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  ~ThreadPool() {
+  /// Run body() once on each of `threads` new threads (0 => one) and join
+  /// them all. Rethrows the first exception a worker threw.
+  template <typename Body>
+  static void run(unsigned threads, const Body& body) {
+    threads = std::max(threads, 1u);
+    std::mutex mu;
+    std::exception_ptr first_error;
     {
-      std::lock_guard lock(mu_);
-      stopping_ = true;
-    }
-    cv_.notify_all();
-    for (auto& w : workers_) w.join();
+      std::vector<std::jthread> workers;
+      workers.reserve(threads);
+      for (unsigned w = 0; w < threads; ++w) {
+        workers.emplace_back([&, w] {
+          tls_worker_ = static_cast<int>(w);
+          try {
+            body();
+          } catch (...) {
+            const std::lock_guard lock(mu);
+            if (!first_error) first_error = std::current_exception();
+          }
+        });
+      }
+    }  // joins every worker
+    if (first_error) std::rethrow_exception(first_error);
   }
 
-  [[nodiscard]] unsigned size() const noexcept {
-    return static_cast<unsigned>(workers_.size());
-  }
-
-  /// Index of the calling thread within the pool that owns it, in
-  /// [0, size-of-that-pool), or -1 off-pool. The id is per *thread*, not per
-  /// pool instance: a callable running on pool A that touches pool B must
-  /// not use it to index B's state. Tasks dispatched through run_trials /
-  /// for_trials always execute on that call's own pool, so trial callables
-  /// may safely key worker-local state (reused simulation substrates) on it.
+  /// Index of the calling thread within the run() that started it, in
+  /// [0, threads), or -1 on any other thread. Trial callables key
+  /// worker-local state (reused simulation substrates) on it.
   [[nodiscard]] static int current_worker() noexcept { return tls_worker_; }
 
-  void post(Task task) {
-    DYNA_EXPECTS(static_cast<bool>(task));
-    DYNA_EXPECTS(!stopping_);
-    unfinished_.fetch_add(1, std::memory_order_relaxed);
-    queued_.fetch_add(1, std::memory_order_relaxed);
-    // One of *this* pool's workers posting from inside a task feeds its own
-    // deque (cache-warm, no cross-thread contention); everyone else —
-    // external threads and other pools' workers, whose id can exceed this
-    // pool's shard count — round-robins across shards.
-    const int self = tls_worker_;
-    const unsigned target =
-        self >= 0 && static_cast<unsigned>(self) < shard_count_
-            ? static_cast<unsigned>(self)
-            : next_shard_.fetch_add(1, std::memory_order_relaxed) % shard_count_;
-    {
-      std::lock_guard lock(shards_[target].mu);
-      shards_[target].deque.push_back(std::move(task));
-    }
-    wake(1);
-  }
-
-  /// Post a whole burst with one lock acquisition per worker deque. Tasks
-  /// are dealt out in contiguous runs (task i goes to deque i*P/N), so a
-  /// burst of chunked trial blocks keeps each worker on a contiguous span of
-  /// the results array until stealing kicks in.
-  void post_batch(std::vector<Task> tasks) {
-    if (tasks.empty()) return;
-    DYNA_EXPECTS(!stopping_);
-    unfinished_.fetch_add(tasks.size(), std::memory_order_relaxed);
-    queued_.fetch_add(tasks.size(), std::memory_order_relaxed);
-    const std::size_t n = tasks.size();
-    const std::size_t shards = shard_count_;
-    std::size_t begin = 0;
-    for (std::size_t s = 0; s < shards && begin < n; ++s) {
-      const std::size_t end = n * (s + 1) / shards;
-      if (end <= begin) continue;
-      std::lock_guard lock(shards_[s].mu);
-      for (std::size_t j = begin; j < end; ++j) {
-        shards_[s].deque.push_back(std::move(tasks[j]));
-      }
-      begin = end;
-    }
-    wake(n);
-  }
-
-  /// Block until every posted task has finished. Rethrows the first task
-  /// exception (if any occurred).
-  void wait_idle() {
-    std::unique_lock lock(mu_);
-    idle_cv_.wait(lock, [this] { return unfinished_.load(std::memory_order_acquire) == 0; });
-    if (first_error_) {
-      const std::exception_ptr e = first_error_;
-      first_error_ = nullptr;
-      std::rethrow_exception(e);
-    }
-  }
-
  private:
-  /// One per worker, padded so neighbouring deques never share a line.
-  struct alignas(64) Shard {
-    std::mutex mu;
-    std::deque<Task> deque;
-  };
-
-  void wake(std::size_t tasks) {
-    // The empty critical section pairs with the worker's predicate check:
-    // without it a notify could land between a worker's last scan and its
-    // wait, and a burst would sit until the next post.
-    { std::lock_guard lock(mu_); }
-    if (tasks > 1) {
-      cv_.notify_all();
-    } else {
-      cv_.notify_one();
-    }
-  }
-
-  /// Pop from the front of the own deque (ascend the posted run in order),
-  /// else steal from the back of the first non-empty peer (the work the
-  /// owner would reach last).
-  bool try_get(unsigned self, Task& out) {
-    {
-      Shard& own = shards_[self];
-      std::lock_guard lock(own.mu);
-      if (!own.deque.empty()) {
-        out = std::move(own.deque.front());
-        own.deque.pop_front();
-        return true;
-      }
-    }
-    for (unsigned d = 1; d < shard_count_; ++d) {
-      Shard& victim = shards_[(self + d) % shard_count_];
-      std::lock_guard lock(victim.mu);
-      if (!victim.deque.empty()) {
-        out = std::move(victim.deque.back());
-        victim.deque.pop_back();
-        return true;
-      }
-    }
-    return false;
-  }
-
-  void worker_loop(unsigned self) {
-    tls_worker_ = static_cast<int>(self);
-    for (;;) {
-      Task task;
-      if (try_get(self, task)) {
-        queued_.fetch_sub(1, std::memory_order_relaxed);
-        try {
-          task();
-        } catch (...) {
-          std::lock_guard lock(mu_);
-          if (!first_error_) first_error_ = std::current_exception();
-        }
-        task.reset();  // destroy captures before signalling idle
-        if (unfinished_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-          std::lock_guard lock(mu_);
-          idle_cv_.notify_all();
-        }
-        continue;
-      }
-      std::unique_lock lock(mu_);
-      cv_.wait(lock, [this] {
-        return stopping_ || queued_.load(std::memory_order_acquire) > 0;
-      });
-      if (stopping_ && queued_.load(std::memory_order_acquire) == 0) return;
-    }
-  }
-
   static thread_local int tls_worker_;
-
-  std::unique_ptr<Shard[]> shards_;
-  unsigned shard_count_ = 0;
-  std::vector<std::thread> workers_;
-  std::atomic<std::size_t> next_shard_{0};
-
-  std::atomic<std::size_t> queued_{0};      ///< tasks sitting in deques
-  std::atomic<std::size_t> unfinished_{0};  ///< posted but not yet finished
-
-  std::mutex mu_;
-  std::condition_variable cv_;       ///< work available / stopping
-  std::condition_variable idle_cv_;  ///< unfinished_ reached zero
-  bool stopping_ = false;
-  std::exception_ptr first_error_;
 };
 
 inline thread_local int ThreadPool::tls_worker_ = -1;

@@ -6,24 +6,23 @@
 // seed and the trial index alone, so results are bit-identical across thread
 // counts — verified by tests/test_parallel.cpp.
 //
-// Dispatch is chunked: the trial range is cut into contiguous blocks (one
-// pool task per block, not per trial), so a 10k-trial sweep posts ~8 tasks
-// per worker instead of 10k type-erased closures. A block descriptor is five
-// scalars and fits the pool's inline task buffer — the per-trial allocation
-// the old std::function path paid is gone entirely. Results land in the
-// pre-sized output vector; a block is a contiguous span written by a single
-// worker, so false sharing is confined to the block boundaries. Workers that
-// finish early steal whole blocks from loaded peers (see thread_pool.hpp),
-// which is what keeps the sweep's tail short when trial costs are skewed.
+// Dispatch is one shared atomic cursor: each worker claims the next trial
+// index until none remain. Trials therefore start in index order — when
+// trial i starts, every lower index has been claimed, and at most threads-1
+// of them by workers that have not called fn yet. A slow trial holds up
+// only itself, never trials queued behind it, so a streaming consumer's
+// reorder window is bounded by how many trials the other workers finish
+// while one trial runs, not by the sweep size. A claim is one atomic
+// fetch_add; nothing is allocated per trial.
 //
 // Worker-local state: `trial_fn` may key reusable per-worker state (warmed
-// simulation substrates) off ThreadPool::current_worker(), which is stable
-// for the duration of a block and always < the thread count passed here.
+// simulation substrates) off ThreadPool::current_worker(), which is in
+// [0, threads) inside a trial.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -31,63 +30,41 @@
 
 namespace dyna::par {
 
-/// Trial blocks per worker the default chunking aims for. 8 gives stealing
-/// enough granularity to balance a skewed tail while keeping the task count
-/// (and the cold-start cost of any worker-local substrate) trivial.
-inline constexpr std::size_t kBlocksPerWorker = 8;
-
-[[nodiscard]] constexpr std::size_t default_block_size(std::size_t trials,
-                                                       unsigned threads) noexcept {
-  const std::size_t blocks = static_cast<std::size_t>(threads) * kBlocksPerWorker;
-  const std::size_t size = (trials + blocks - 1) / blocks;
-  return size > 0 ? size : 1;
-}
-
 /// Evaluate fn(trial_index, derive_seed(master_seed, trial_index)) for every
-/// trial in [0, trials) in parallel, discarding return values — for callables
-/// that stream their own output. `block` overrides the contiguous-block size
-/// (0 = pick automatically). The callable is shared by every block and
-/// invoked concurrently from several workers.
+/// trial in [0, trials) on `threads` workers (0 => one), discarding return
+/// values — for callables that stream their own output. The callable is
+/// shared by every worker and invoked concurrently. The first exception a
+/// trial throws stops further claims and propagates once the workers join.
 template <typename Fn>
 void for_trials(std::size_t trials, std::uint64_t master_seed, Fn&& trial_fn,
-                unsigned threads = std::thread::hardware_concurrency(),
-                std::size_t block = 0) {
+                unsigned threads = std::thread::hardware_concurrency()) {
   if (trials == 0) return;
-  if (threads == 0) threads = 1;
-  if (block == 0) block = default_block_size(trials, threads);
-
-  ThreadPool pool(threads);
-  auto& fn = trial_fn;
-
-  std::vector<ThreadPool::Task> tasks;
-  tasks.reserve((trials + block - 1) / block);
-  for (std::size_t begin = 0; begin < trials; begin += block) {
-    const std::size_t end = begin + block < trials ? begin + block : trials;
-    tasks.emplace_back([&fn, begin, end, master_seed] {
-      for (std::size_t i = begin; i < end; ++i) {
-        fn(i, derive_seed(master_seed, i));
+  std::atomic<std::size_t> cursor{0};
+  ThreadPool::run(threads, [&] {
+    for (;;) {
+      const std::size_t i = cursor.fetch_add(1);
+      if (i >= trials) return;
+      try {
+        trial_fn(i, derive_seed(master_seed, i));
+      } catch (...) {
+        cursor.store(trials);  // no further claims
+        throw;
       }
-    });
-  }
-  pool.post_batch(std::move(tasks));
-  pool.wait_idle();
+    }
+  });
 }
 
 /// Evaluate fn(trial_index, derive_seed(master_seed, trial_index)) for every
 /// trial in [0, trials), in parallel, collecting results in trial order.
-/// `block` overrides the contiguous-block size (0 = pick automatically).
 template <typename Result, typename Fn>
 std::vector<Result> run_trials(std::size_t trials, std::uint64_t master_seed, Fn&& trial_fn,
-                               unsigned threads = std::thread::hardware_concurrency(),
-                               std::size_t block = 0) {
+                               unsigned threads = std::thread::hardware_concurrency()) {
   std::vector<Result> results(trials);
   Result* const out = results.data();
-  // One callable shared by every block and invoked concurrently from several
-  // workers — the same thread-safety contract the old std::function path had.
-  auto& fn = trial_fn;
   for_trials(
       trials, master_seed,
-      [out, &fn](std::size_t i, std::uint64_t seed) { out[i] = fn(i, seed); }, threads, block);
+      [out, &trial_fn](std::size_t i, std::uint64_t seed) { out[i] = trial_fn(i, seed); },
+      threads);
   return results;
 }
 

@@ -7,7 +7,6 @@
 #include "common/stats.hpp"
 #include "kvstore/client.hpp"
 #include "parallel/trial_runner.hpp"
-#include "scenario/registry.hpp"
 #include "scenario/sink.hpp"
 #include "shard/client.hpp"
 #include "workload/open_loop.hpp"
@@ -25,8 +24,6 @@ cluster::ClusterConfig build_config(const ScenarioSpec& spec, std::size_t server
   cluster::ClusterConfig cfg;
   if (spec.config_factory) {
     cfg = spec.config_factory(servers, seed);
-  } else if (!spec.policy.empty()) {
-    cfg = PolicyRegistry::global().make(spec.policy, servers, seed);
   } else {
     switch (spec.variant) {
       case Variant::Raft:
@@ -52,7 +49,6 @@ cluster::ClusterConfig build_config(const ScenarioSpec& spec, std::size_t server
   cfg.command_service_time = spec.command_service_time;
   if (spec.group_commit) cfg.raft.group_commit = *spec.group_commit;
   if (spec.max_batch_commands) cfg.raft.max_batch_commands = *spec.max_batch_commands;
-  if (spec.max_batch_bytes) cfg.raft.max_batch_bytes = *spec.max_batch_bytes;
   if (spec.read_index) cfg.raft.read_index = *spec.read_index;
   cfg.durable_log = spec.durable_log;
   cfg.perf_cost = spec.perf_cost;
@@ -424,6 +420,9 @@ ShardSample shard_sample(cluster::Cluster& c, std::size_t g, std::size_t servers
 ///     (k >= 1) and stays empty for a standalone one.
 ScenarioResult run_deployment(const shard::DeploymentView& d, const ScenarioSpec& spec) {
   spec.faults.validate(d.groups() * spec.servers);
+  if (spec.samples.sample_every <= Duration{0}) {
+    throw std::invalid_argument("SamplePlan: sample_every must be > 0");
+  }
   if (spec.faults.churn && !d.standalone()) {
     throw std::runtime_error("ScenarioRunner: membership churn requires a standalone cluster");
   }
@@ -557,10 +556,9 @@ std::uint64_t ScenarioRunner::sweep_seed(const SweepSpec& sweep, std::size_t see
 
 namespace {
 
-/// One (variant-or-policy, size) cell of a sweep's cross product.
+/// One (variant, size) cell of a sweep's cross product.
 struct SweepCell {
   Variant variant = Variant::Raft;
-  std::string policy;  ///< non-empty => PolicyRegistry cell
   std::size_t servers = 0;
 };
 
@@ -582,16 +580,12 @@ SweepPlan plan_sweep(const SweepSpec& sweep) {
   const std::vector<std::size_t> sizes =
       sweep.sizes.empty() ? std::vector<std::size_t>{sweep.base.servers} : sweep.sizes;
 
-  std::vector<SweepCell> axis;
-  for (const Variant v : sweep.variants) axis.push_back({v, {}, 0});
-  for (const std::string& p : sweep.policies) axis.push_back({sweep.base.variant, p, 0});
-  if (axis.empty()) axis.push_back({sweep.base.variant, sweep.base.policy, 0});
+  const std::vector<Variant> variants =
+      sweep.variants.empty() ? std::vector<Variant>{sweep.base.variant} : sweep.variants;
 
-  plan.cells.reserve(axis.size() * sizes.size());
-  for (const SweepCell& sel : axis) {
-    for (const std::size_t n : sizes) {
-      plan.cells.push_back({sel.variant, sel.policy, n});
-    }
+  plan.cells.reserve(variants.size() * sizes.size());
+  for (const Variant v : variants) {
+    for (const std::size_t n : sizes) plan.cells.push_back({v, n});
   }
   plan.seeds = std::max<std::size_t>(1, sweep.seeds);
   plan.master = sweep.master_seed != 0 ? sweep.master_seed : sweep.base.seed;
@@ -625,7 +619,6 @@ class SweepExecutor {
       // mutations would otherwise accumulate across a worker's trial run.
       slot.spec = sweep_->base;
       slot.spec.variant = cell.variant;
-      slot.spec.policy = cell.policy;
       slot.spec.servers = cell.servers;
       slot.cell = cell_index;
     }
@@ -640,10 +633,10 @@ class SweepExecutor {
     }
     // The seed-only fast path may skip recompiling the config ONLY when
     // the config is a pure function of (variant, size): a config_factory
-    // or registry policy receives the trial seed and may legitimately
-    // vary with it, so those recompile (and rebuild nodes) every trial.
-    const bool recompile = new_cell || slot.spec.config_factory != nullptr ||
-                           !slot.spec.policy.empty() || sweep_->mutate != nullptr;
+    // receives the trial seed and may legitimately vary with it, so it
+    // recompiles (and rebuilds nodes) every trial.
+    const bool recompile =
+        new_cell || slot.spec.config_factory != nullptr || sweep_->mutate != nullptr;
     return run_deployment(slot.deploy(recompile), slot.spec);
   }
 
@@ -708,9 +701,10 @@ void ScenarioRunner::run_sweep(const SweepSpec& sweep, ResultSink& sink) {
   SweepExecutor exec(sweep, plan);
 
   // In-order streaming: whichever worker completes the next-in-order trial
-  // drains it (plus any buffered successors) into the sink. Workers ascend
-  // their contiguous block runs, so the reorder window stays a few blocks
-  // deep regardless of sweep size.
+  // drains it (plus any buffered successors) into the sink. Trials start in
+  // index order (one shared cursor), so the window holds only the trials the
+  // other workers finish while the oldest unfinished one runs: bounded by the
+  // spread of trial costs, not by the sweep size.
   std::mutex mu;
   std::map<std::size_t, ScenarioResult> window;
   std::size_t next = 0;

@@ -67,8 +67,8 @@ class ScenarioRunner {
   [[nodiscard]] static ScenarioResult run_on(shard::ShardedCluster& cluster,
                                              const ScenarioSpec& spec);
 
-  /// Execute the sweep's cross product (variant-major — built-in variants
-  /// then registered policies — then size, then seed index) in parallel.
+  /// Execute the sweep's cross product (variant-major, then size, then seed
+  /// index) in parallel.
   /// Results are in enumeration order and independent of `sweep.threads` and
   /// `sweep.reuse_substrate`. Each worker runs its trials on one reused
   /// simulation substrate (see Cluster::reset) unless the spec opts out.
@@ -76,10 +76,10 @@ class ScenarioRunner {
 
   /// Same sweep, but stream every ScenarioResult into `sink` (in enumeration
   /// order, exactly once) instead of accumulating a result vector — a
-  /// 10k-trial sweep writes its CSV in bounded memory. Out-of-order
-  /// completions wait in a reorder window whose size is governed by the
-  /// in-flight trial blocks (workers ascend their block runs in order), not
-  /// by the sweep size.
+  /// 10k-trial sweep writes its CSV in bounded memory. Trials start in index
+  /// order, so out-of-order completions wait in a reorder window that holds
+  /// only what the other workers finish while the oldest unfinished trial
+  /// runs, not a share of the sweep.
   static void run_sweep(const SweepSpec& sweep, ResultSink& sink);
 
   /// The seed trial `seed_index` of a sweep runs under (same for every

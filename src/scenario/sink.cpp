@@ -31,14 +31,6 @@ std::vector<std::string> csv_header(CsvSection section) {
       append(h, {"offered_rps", "achieved_rps", "mean_latency_ms", "p99_latency_ms",
                  "completed", "failed"});
       break;
-    case CsvSection::Mix:
-      append(h, {"achieved_rps", "get_rps", "put_rps", "mean_latency_ms", "p99_latency_ms",
-                 "completed", "failed", "gets", "puts"});
-      break;
-    case CsvSection::Shard:
-      append(h, {"shard", "shard_servers", "elected", "completed", "failed", "rps",
-                 "elections", "expiries", "applied"});
-      break;
   }
   return h;
 }
@@ -75,30 +67,6 @@ void CsvSink::consume(const ScenarioResult& r) {
         append(row, {CsvWriter::cell(l.offered_rps), CsvWriter::cell(l.achieved_rps),
                      CsvWriter::cell(l.mean_latency_ms), CsvWriter::cell(l.p99_latency_ms),
                      std::to_string(l.completed), std::to_string(l.failed)});
-        csv_.row(row);
-      }
-      break;
-    }
-    case CsvSection::Mix: {
-      for (const auto& m : r.mix) {
-        auto row = identity_cells(r);
-        append(row, {CsvWriter::cell(m.achieved_rps), CsvWriter::cell(m.get_rps),
-                     CsvWriter::cell(m.put_rps), CsvWriter::cell(m.mean_latency_ms),
-                     CsvWriter::cell(m.p99_latency_ms), std::to_string(m.completed),
-                     std::to_string(m.failed), std::to_string(m.gets),
-                     std::to_string(m.puts)});
-        csv_.row(row);
-      }
-      break;
-    }
-    case CsvSection::Shard: {
-      for (const auto& s : r.shard_stats) {
-        auto row = identity_cells(r);
-        append(row, {std::to_string(s.shard), std::to_string(s.servers),
-                     s.leader_elected ? "1" : "0", std::to_string(s.completed),
-                     std::to_string(s.failed), CsvWriter::cell(s.achieved_rps),
-                     std::to_string(s.elections), std::to_string(s.timer_expiries),
-                     std::to_string(s.applied)});
         csv_.row(row);
       }
       break;

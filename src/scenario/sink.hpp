@@ -2,11 +2,11 @@
 //
 // One result model, three presentation forms:
 //   * TableSink — aligned console summary, one row per result;
-//   * CsvSink   — the unified CSV path every bench shares. One schema per
-//     sample series (failover / samples / levels), each prefixed with the
-//     spec identity columns (scenario, variant, servers, seed) so a single
-//     file can hold a whole sweep. The committed bench/reference/ snapshots
-//     and the CI bench-diff gate consume exactly these schemas.
+//   * CsvSink   — the shared CSV path of the figure benches that emit a
+//     result series. One schema per sample series (failover / samples /
+//     levels), each prefixed with the spec identity columns (scenario,
+//     variant, servers, seed) so a single file can hold a whole sweep.
+//     Benches with their own schemas write through CsvWriter directly.
 // print_failover_cdfs() is the Fig 4/8 console CDF presentation.
 #pragma once
 
@@ -34,7 +34,7 @@ class ResultSink {
 // ---- CSV ------------------------------------------------------------------------
 
 /// Which sample series of a result a CsvSink emits.
-enum class CsvSection { Failover, Samples, Levels, Mix, Shard };
+enum class CsvSection { Failover, Samples, Levels };
 
 [[nodiscard]] std::vector<std::string> csv_header(CsvSection section);
 

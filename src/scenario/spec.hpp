@@ -35,18 +35,9 @@ namespace dyna::scenario {
 
 using namespace std::chrono_literals;
 
-/// The paper's tuning-policy variants (§IV-A).
+/// The paper's tuning-policy variants (§IV-A). Any other policy is a
+/// ScenarioSpec::config_factory.
 enum class Variant { Raft, RaftLow, Dynatune, FixK };
-
-[[nodiscard]] constexpr std::string_view to_string(Variant v) noexcept {
-  switch (v) {
-    case Variant::Raft: return "Raft";
-    case Variant::RaftLow: return "Raft-Low";
-    case Variant::Dynatune: return "Dynatune";
-    case Variant::FixK: return "Fix-K";
-  }
-  return "?";
-}
 
 /// Network shape for a scenario. Layered: `schedule` (or constant `base`)
 /// applies to every pair, then the WAN matrix (if any), then per-direction
@@ -334,14 +325,12 @@ struct ScenarioSpec {
   dt::DynatuneConfig dynatune{};
   /// K pinned for the Fix-K variant (paper: 10).
   int fix_k = 10;
-  /// Escape hatch: a custom cluster-config factory overriding `variant`
-  /// (custom policies, ablation knobs). Receives (servers, seed); the runner
-  /// still applies topology/transport/perf/workload from the spec on top.
+  /// Every policy beyond the four variants: a custom cluster-config factory
+  /// overriding `variant` (custom policies, ablation knobs). Receives
+  /// (servers, seed); the runner still applies topology/transport/perf/
+  /// workload from the spec on top. The config's `name` is the variant
+  /// column sinks print for the trial.
   std::function<cluster::ClusterConfig(std::size_t, std::uint64_t)> config_factory;
-  /// Name of a PolicyRegistry-registered policy, overriding `variant` (but
-  /// not `config_factory`). Registered policies carry their name into sink
-  /// schemas and are sweepable via SweepSpec::policies.
-  std::string policy;
 
   std::size_t servers = 5;
   std::uint64_t seed = 1;
@@ -378,7 +367,6 @@ struct ScenarioSpec {
   /// default factories ship with batching off (the reference-run default).
   std::optional<bool> group_commit;
   std::optional<std::size_t> max_batch_commands;
-  std::optional<std::size_t> max_batch_bytes;
   /// Leader ReadIndex fast path for GETs (see RaftConfig::read_index).
   std::optional<bool> read_index;
   bool durable_log = true;
@@ -406,12 +394,9 @@ struct ScenarioSpec {
 /// tests/test_scenario_sweep.cpp verifies.
 struct SweepSpec {
   ScenarioSpec base{};
-  /// Empty => {base.variant} (unless `policies` is non-empty).
+  /// Empty => {base.variant}. A base.config_factory overrides every cell's
+  /// variant, so a custom policy sweeps with this left empty.
   std::vector<Variant> variants{};
-  /// PolicyRegistry names appended to the variant axis, after `variants`.
-  /// When both lists are empty the single cell is the base spec's own
-  /// policy/variant selection.
-  std::vector<std::string> policies{};
   /// Empty => {base.servers}.
   std::vector<std::size_t> sizes{};
   /// Number of seed trials per (variant, size) cell.

@@ -26,10 +26,6 @@ enum class PartitionMode : std::uint8_t {
   Range,  ///< contiguous ranges over the key's first 8 bytes (big-endian)
 };
 
-[[nodiscard]] constexpr std::string_view to_string(PartitionMode mode) noexcept {
-  return mode == PartitionMode::Hash ? "hash" : "range";
-}
-
 class ShardRouter {
  public:
   explicit ShardRouter(std::size_t shards, PartitionMode mode = PartitionMode::Hash)

@@ -1,9 +1,10 @@
 // Fuzz soak over the fault zoo: 200+ randomized schedules crossing crash
 // points x symmetric/asymmetric partitions x rolling restarts x membership
-// churn, with the invariant checker on everywhere. Each schedule is a pure
-// function of its trial seed (SweepSpec::mutate), so the soak is bit-identical
-// across thread counts and fresh/reused substrates — and any surviving
-// violation is replayable from (master_seed, seed index) alone.
+// churn x log compaction, with the invariant checker on everywhere. Each
+// schedule is a pure function of its trial seed (SweepSpec::mutate), so the
+// soak is bit-identical across thread counts and fresh/reused substrates —
+// and any surviving violation is replayable from (master_seed, seed index)
+// alone.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -78,6 +79,15 @@ void mutate_faults(scenario::ScenarioSpec& spec, std::size_t /*index*/, std::uin
 
   plan.validate(spec.servers);  // by construction; a throw is a fuzzer bug
   spec.faults = plan;
+
+  // Log compaction on half of schedules, drawn after every fault draw so
+  // the fault schedules above stay put. With churn, a snapshot can cover a
+  // round's config entries, so a restart or InstallSnapshot must restore the
+  // roster from the snapshot itself.
+  if (rng.uniform_index(2) == 0) {
+    spec.snapshot_threshold = 2 + rng.uniform_index(63);
+    spec.snapshot_trailing = rng.uniform_index(8);
+  }
 }
 
 scenario::SweepSpec soak_sweep(std::size_t seeds, unsigned threads, bool reuse) {

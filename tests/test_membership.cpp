@@ -4,7 +4,9 @@
 // off removed nodes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
+#include <vector>
 
 #include "cluster/cluster.hpp"
 #include "kvstore/client.hpp"
@@ -166,6 +168,53 @@ TEST(Membership, TrialResetRestoresFoundingRoster) {
   EXPECT_EQ(c->server_ids(), founding);
   ASSERT_TRUE(c->await_leader(30s));
   EXPECT_EQ(c->node(c->current_leader()).voter_count(), 3u);
+  EXPECT_EQ(c->audit_invariants(), 0u);
+}
+
+TEST(Membership, RestartRestoresRosterFromSnapshotCoveringTheChurn) {
+  // Compaction folds a whole churn round (add learner, promote, remove) into
+  // the follower's snapshot, so no config entry is left in its log suffix:
+  // on restart the roster can come only from the snapshot. The removal is
+  // not finalized yet, so the harness still hands the restarted node the
+  // removed server as a peer — the snapshot must override it.
+  cluster::ClusterConfig cfg = membership_config(5, 83);
+  cfg.raft.snapshot_threshold = 4;
+  cfg.raft.snapshot_trailing = 0;
+  auto c = start_cluster(cfg);
+  commit_some(*c, 5, "pre");
+
+  const NodeId leader = c->current_leader();
+  ASSERT_NE(leader, kNoNode);
+  std::vector<NodeId> followers;
+  for (const NodeId id : c->server_ids()) {
+    if (id != leader) followers.push_back(id);
+  }
+  const NodeId victim = followers[0];
+  const NodeId watched = followers[1];
+
+  const NodeId joiner = c->add_server(/*as_learner=*/true);
+  change(*c, ConfigChange::AddLearner, joiner);
+  change(*c, ConfigChange::Promote, joiner);
+  const raft::LogIndex removed_at = change(*c, ConfigChange::Remove, victim);
+  commit_some(*c, 10, "post");  // carry the snapshot line past the churn
+  ASSERT_GT(c->node(watched).first_log_index(), removed_at)
+      << "a config entry is still in the follower's log suffix";
+
+  std::vector<NodeId> roster;  // post-churn, as the watched follower's peers
+  for (const NodeId id : c->server_ids()) {
+    if (id != victim && id != watched) roster.push_back(id);
+  }
+  std::sort(roster.begin(), roster.end());
+
+  c->crash(watched);
+  c->restart(watched);
+  std::vector<NodeId> peers = c->node(watched).peers();
+  std::sort(peers.begin(), peers.end());
+  EXPECT_EQ(peers, roster);
+  EXPECT_FALSE(c->node(watched).is_learner());
+
+  c->finalize_removal(victim);
+  commit_some(*c, 5, "after");
   EXPECT_EQ(c->audit_invariants(), 0u);
 }
 

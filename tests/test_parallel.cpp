@@ -1,9 +1,12 @@
-// Thread pool and deterministic trial runner.
+// Worker threads and the deterministic trial runner.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
-#include <numeric>
+#include <chrono>
 #include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include "parallel/thread_pool.hpp"
 #include "parallel/trial_runner.hpp"
@@ -11,97 +14,43 @@
 namespace dyna::par {
 namespace {
 
-TEST(ThreadPool, RunsAllTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.post([&count] { count.fetch_add(1); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPool, WaitIdleWithNoTasksReturns) {
-  ThreadPool pool(2);
-  pool.wait_idle();
-  SUCCEED();
-}
-
 TEST(ThreadPool, ZeroThreadRequestClampsToOne) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.size(), 1u);
-  std::atomic<int> count{0};
-  pool.post([&count] { ++count; });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 1);
+  std::atomic<int> runs{0};
+  ThreadPool::run(0, [&runs] {
+    EXPECT_EQ(ThreadPool::current_worker(), 0);
+    runs.fetch_add(1);
+  });
+  EXPECT_EQ(runs.load(), 1);
+
+  std::vector<int> workers;  // one worker: no race
+  for_trials(16, 1, [&workers](std::size_t, std::uint64_t) {
+    workers.push_back(ThreadPool::current_worker());
+  }, 0);
+  EXPECT_EQ(workers, std::vector<int>(16, 0));
 }
 
 TEST(ThreadPool, ExceptionPropagatesToWaiter) {
-  ThreadPool pool(2);
-  pool.post([] { throw std::runtime_error("boom"); });
-  EXPECT_THROW(pool.wait_idle(), std::runtime_error);
-  // The pool stays usable afterwards.
-  std::atomic<int> count{0};
-  pool.post([&count] { ++count; });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 1);
-}
-
-TEST(ThreadPool, TasksCanPostMoreTasks) {
-  ThreadPool pool(2);
-  std::atomic<int> count{0};
-  pool.post([&] {
-    ++count;
-    pool.post([&] { ++count; });
-  });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 2);
-}
-
-TEST(ThreadPool, PostBatchRunsEverythingOnce) {
-  ThreadPool pool(3);
-  std::atomic<int> count{0};
-  std::vector<ThreadPool::Task> tasks;
-  for (int i = 0; i < 1000; ++i) {
-    tasks.emplace_back([&count] { count.fetch_add(1); });
-  }
-  pool.post_batch(std::move(tasks));
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 1000);
+  std::atomic<int> finished{0};
+  EXPECT_THROW(ThreadPool::run(4,
+                               [&finished] {
+                                 if (ThreadPool::current_worker() == 2) {
+                                   throw std::runtime_error("boom");
+                                 }
+                                 finished.fetch_add(1);
+                               }),
+               std::runtime_error);
+  EXPECT_EQ(finished.load(), 3);  // every other worker ran to completion first
 }
 
 TEST(ThreadPool, CurrentWorkerIndexIsStableAndInRange) {
-  ThreadPool pool(4);
-  EXPECT_EQ(ThreadPool::current_worker(), -1);  // not a pool thread
+  EXPECT_EQ(ThreadPool::current_worker(), -1);  // not a worker thread
   std::atomic<int> bad{0};
-  for (int i = 0; i < 200; ++i) {
-    pool.post([&bad] {
-      const int w = ThreadPool::current_worker();
-      if (w < 0 || w >= 4) bad.fetch_add(1);
-    });
-  }
-  pool.wait_idle();
+  for_trials(200, 3, [&bad](std::size_t, std::uint64_t) {
+    const int w = ThreadPool::current_worker();
+    if (w < 0 || w >= 4) bad.fetch_add(1);
+  }, 4);
   EXPECT_EQ(bad.load(), 0);
-}
-
-TEST(ThreadPool, IdleWorkersStealFromLoadedPeers) {
-  // Two workers; worker A blocks on a gate while the batch lands in both
-  // deques. Worker B must steal A's share for the sweep to finish.
-  ThreadPool pool(2);
-  std::atomic<bool> gate{false};
-  std::atomic<int> done{0};
-  std::vector<ThreadPool::Task> tasks;
-  tasks.emplace_back([&gate] {
-    while (!gate.load()) std::this_thread::yield();
-  });
-  for (int i = 0; i < 63; ++i) {
-    tasks.emplace_back([&done, &gate] {
-      if (done.fetch_add(1) + 1 == 63) gate.store(true);  // unblock the gate
-    });
-  }
-  pool.post_batch(std::move(tasks));
-  pool.wait_idle();  // without stealing the gate never opens: deadlock
-  EXPECT_EQ(done.load(), 63);
+  EXPECT_EQ(ThreadPool::current_worker(), -1);  // never leaks to the caller
 }
 
 TEST(TrialRunner, ResultsInTrialOrder) {
@@ -143,17 +92,6 @@ TEST(TrialRunner, IdenticalAcrossThreadCounts) {
   EXPECT_EQ(one, eight);
 }
 
-TEST(TrialRunner, ExplicitBlockSizesDoNotChangeResults) {
-  auto trial = [](std::size_t i, std::uint64_t seed) {
-    Rng rng(seed);
-    return static_cast<double>(i) + rng.uniform();
-  };
-  const auto reference = run_trials<double>(100, 5, trial, 1);
-  for (const std::size_t block : {1u, 3u, 7u, 64u, 1000u}) {
-    EXPECT_EQ(run_trials<double>(100, 5, trial, 4, block), reference) << "block " << block;
-  }
-}
-
 TEST(TrialRunner, ForTrialsVisitsEveryIndexExactlyOnce) {
   std::vector<std::atomic<int>> visits(257);
   for_trials(257, 9, [&visits](std::size_t i, std::uint64_t seed) {
@@ -173,6 +111,57 @@ TEST(TrialRunner, ExceptionInTrialPropagates) {
                                },
                                2),
                std::runtime_error);
+}
+
+TEST(TrialRunner, ExceptionStopsFurtherClaims) {
+  std::atomic<std::size_t> ran{0};
+  EXPECT_THROW(for_trials(10'000, 1,
+                          [&ran](std::size_t i, std::uint64_t) {
+                            if (i == 0) throw std::runtime_error("trial 0");
+                            ran.fetch_add(1);
+                          },
+                          1),
+               std::runtime_error);
+  EXPECT_EQ(ran.load(), 0u);
+}
+
+TEST(TrialRunner, TrialsStartInIndexOrder) {
+  // When trial i starts, every lower index has been claimed; only trials
+  // claimed by the other workers but not yet started can still be pending,
+  // so fewer than `threads` of them.
+  constexpr std::size_t kTrials = 4000;
+  constexpr unsigned kThreads = 4;
+  std::vector<std::atomic<bool>> started(kTrials);
+  std::atomic<std::size_t> worst{0};
+  for_trials(kTrials, 11, [&](std::size_t i, std::uint64_t) {
+    std::size_t pending = 0;
+    for (std::size_t j = 0; j < i; ++j) pending += started[j].load() ? 0 : 1;
+    started[i].store(true);
+    std::size_t seen = worst.load();
+    while (pending > seen && !worst.compare_exchange_weak(seen, pending)) {
+    }
+  }, kThreads);
+  EXPECT_LT(worst.load(), kThreads);
+}
+
+TEST(TrialRunner, BlockedTrialDoesNotStallTheSweep) {
+  // Trial 0 waits until every other trial has run. One worker sits in it;
+  // the other must be free to claim trials 1..63 rather than find them
+  // queued behind trial 0. The deadline turns a stall into a failure.
+  constexpr int kOthers = 63;
+  std::atomic<int> done{0};
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  for_trials(kOthers + 1, 5, [&](std::size_t i, std::uint64_t) {
+    if (i != 0) {
+      done.fetch_add(1);
+      return;
+    }
+    while (done.load() < kOthers && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    EXPECT_EQ(done.load(), kOthers) << "trial 0 timed out waiting for the others";
+  }, 2);
+  EXPECT_EQ(done.load(), kOthers);
 }
 
 TEST(TrialRunner, ZeroTrialsIsEmpty) {

@@ -8,6 +8,7 @@
 
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -185,6 +186,16 @@ TEST(ScenarioRunner, WorkloadPlanProducesLevels) {
   ASSERT_EQ(r.levels.size(), 3u);
   EXPECT_GT(r.levels.front().completed, 0u);
   EXPECT_DOUBLE_EQ(r.levels.back().offered_rps, 300.0);
+}
+
+TEST(ScenarioRunner, RejectsNonPositiveSampleInterval) {
+  scenario::ScenarioSpec spec;
+  spec.servers = 3;
+  spec.seed = 5;
+  for (const Duration every : {Duration{0}, Duration{-1s}}) {
+    spec.samples = scenario::SamplePlan::every(every, 5s);
+    EXPECT_THROW((void)scenario::ScenarioRunner::run(spec), std::invalid_argument);
+  }
 }
 
 // ---- Sinks ------------------------------------------------------------------------

@@ -86,7 +86,8 @@ TEST(ShardRouter, KeyForShardRoundTripsInBothModes) {
           const std::string stem = "sess0-op" + std::to_string(i);
           const std::string key = router.key_for_shard(s, stem);
           EXPECT_EQ(router.shard_of(key), s)
-              << to_string(mode) << " shards=" << shards << " stem=" << stem;
+              << (mode == shard::PartitionMode::Hash ? "hash" : "range")
+              << " shards=" << shards << " stem=" << stem;
           EXPECT_EQ(key, router.key_for_shard(s, stem));  // deterministic
           EXPECT_NE(key.find(stem), std::string::npos);   // stem embedded
         }

@@ -20,7 +20,6 @@
 #include <tuple>
 #include <vector>
 
-#include "scenario/registry.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/sink.hpp"
 #include "test_support.hpp"
@@ -393,40 +392,46 @@ TEST(SweepReuse, SeedDependentConfigFactoryRecompilesEveryTrial) {
   }
 }
 
-TEST(SweepReuse, RegistryPoliciesSweepWithFirstClassNames) {
-  scenario::PolicyRegistry::global().add(
-      "test-raft-snappy", [](std::size_t servers, std::uint64_t seed) {
-        cluster::ClusterConfig cfg = cluster::make_raft_config(servers, seed);
-        cfg.raft.election_timeout = 300ms;
-        return cfg;
-      });
-  ASSERT_TRUE(scenario::PolicyRegistry::global().contains("test-raft-snappy"));
-
-  scenario::SweepSpec sweep = isolation_sweep();
-  sweep.variants = {scenario::Variant::Raft};
-  sweep.policies = {"test-raft-snappy"};
-  sweep.sizes = {3};
-  sweep.seeds = 2;
-
-  const auto results = scenario::ScenarioRunner::run_sweep(sweep);
-  ASSERT_EQ(results.size(), 4u);  // (Raft + registered) x 1 size x 2 seeds
-  EXPECT_EQ(results[0].variant, "Raft");
-  EXPECT_EQ(results[1].variant, "Raft");
-  EXPECT_EQ(results[2].variant, "test-raft-snappy");
-  EXPECT_EQ(results[3].variant, "test-raft-snappy");
-
-  // Registered cells are exact too: fresh vs reused.
-  sweep.reuse_substrate = false;
-  const auto fresh = scenario::ScenarioRunner::run_sweep(sweep);
-  EXPECT_EQ(fresh, results);
-}
-
 /// Sink that records results (order included) for the streaming contract.
 class CollectingSink final : public scenario::ResultSink {
  public:
   void consume(const scenario::ScenarioResult& r) override { results.push_back(r); }
   std::vector<scenario::ScenarioResult> results;
 };
+
+TEST(SweepReuse, NamedFactoryPolicySweepsAfterTheVariants) {
+  // A custom policy joins a grid as a second sweep into the same sink: its
+  // cells follow the built-in variants under the config's own name, and are
+  // exact too (fresh vs reused).
+  scenario::SweepSpec sweep = isolation_sweep();
+  sweep.variants = {scenario::Variant::Raft};
+  sweep.sizes = {3};
+  sweep.seeds = 2;
+  scenario::SweepSpec custom = sweep;
+  custom.variants = {};
+  custom.base.config_factory = [](std::size_t servers, std::uint64_t seed) {
+    cluster::ClusterConfig cfg = cluster::make_raft_config(servers, seed);
+    cfg.raft.election_timeout = 300ms;
+    cfg.name = "test-raft-snappy";
+    return cfg;
+  };
+
+  CollectingSink sink;
+  scenario::ScenarioRunner::run_sweep(sweep, sink);
+  scenario::ScenarioRunner::run_sweep(custom, sink);
+  const auto& results = sink.results;
+  ASSERT_EQ(results.size(), 4u);  // (Raft + custom) x 1 size x 2 seeds
+  EXPECT_EQ(results[0].variant, "Raft");
+  EXPECT_EQ(results[1].variant, "Raft");
+  EXPECT_EQ(results[2].variant, "test-raft-snappy");
+  EXPECT_EQ(results[3].variant, "test-raft-snappy");
+  EXPECT_EQ(results[0].seed, results[2].seed);  // seed-paired across the sweeps
+  EXPECT_EQ(results[1].seed, results[3].seed);
+
+  custom.reuse_substrate = false;
+  const auto fresh = scenario::ScenarioRunner::run_sweep(custom);
+  EXPECT_EQ(fresh, std::vector<scenario::ScenarioResult>(results.begin() + 2, results.end()));
+}
 
 TEST(SweepReuse, StreamingSinkMatchesVectorSweepInOrder) {
   scenario::SweepSpec sweep = isolation_sweep();
