@@ -63,18 +63,20 @@ inline void encode_field(std::string& out, std::string_view field) {
 }
 
 /// Parse one length-prefixed field as a view into `buf`; advances `pos`.
-/// Returns nullopt on malformed input.
+/// Returns nullopt on malformed input, including a length longer than the
+/// bytes left: the parse stops there, so the length never wraps.
 inline std::optional<std::string_view> decode_field(std::string_view buf, std::size_t& pos) {
   const std::size_t colon = buf.find(':', pos);
   if (colon == std::string_view::npos || colon == pos) return std::nullopt;
+  const std::size_t left = buf.size() - colon - 1;
   std::size_t len = 0;
   for (std::size_t i = pos; i < colon; ++i) {
     const char c = buf[i];
     if (c < '0' || c > '9') return std::nullopt;
     len = len * 10 + static_cast<std::size_t>(c - '0');
+    if (len > left) return std::nullopt;
   }
   pos = colon + 1;
-  if (pos + len > buf.size()) return std::nullopt;
   std::string_view field = buf.substr(pos, len);
   pos += len;
   return field;

@@ -8,48 +8,16 @@
 #include <algorithm>
 #include <charconv>
 #include <cstdint>
-#include <functional>
-#include <memory>
-#include <ostream>
+#include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "kvstore/command.hpp"
+#include "kvstore/key_index.hpp"
 
 namespace dyna::kv {
-
-/// Keep-alive handle on an immutable buffer: while any copy lives, the bytes
-/// it guards stay allocated and unchanged. The raft log passes the LogSegment
-/// a committed entry lives in; a restore passes the Snapshot blob's handle.
-using Owner = std::shared_ptr<const void>;
-
-/// A stored value: a view of its bytes plus the owner that keeps them alive.
-/// 32 B on 64-bit targets, as big as a libstdc++ std::string. Every replica
-/// that applied the same committed PUT aliases the same bytes in the same
-/// immutable log segment.
-struct Value {
-  std::string_view bytes;
-  Owner owner;
-
-  /// Exact content equality. Values aliasing the same bytes (replicas that
-  /// share a segment) compare in O(1); others fall back to a byte compare.
-  friend bool operator==(const Value& a, const Value& b) noexcept {
-    return (a.bytes.data() == b.bytes.data() && a.bytes.size() == b.bytes.size()) ||
-           a.bytes == b.bytes;
-  }
-  friend bool operator==(const Value& a, std::string_view b) noexcept { return a.bytes == b; }
-  friend std::ostream& operator<<(std::ostream& os, const Value& v) { return os << v.bytes; }
-};
-
-/// A private, immutable copy of `bytes` (one allocation) that is its own
-/// owner: what the entry points whose caller only lends the bytes alias.
-[[nodiscard]] inline Value share(std::string_view bytes) {
-  auto buf = std::make_shared_for_overwrite<char[]>(bytes.size());
-  std::copy(bytes.begin(), bytes.end(), buf.get());
-  return Value{std::string_view(buf.get(), bytes.size()), std::move(buf)};
-}
 
 class StateMachine {
  public:
@@ -89,11 +57,12 @@ class StateMachine {
 /// semantics at the granularity the experiments need — the Op vocabulary is
 /// point ops only, so a hash index is observationally equivalent to etcd's
 /// ordered index and keeps apply O(1)). The apply path is zero-copy: commands
-/// decode to views, lookups are heterogeneous, and a stored value aliases the
-/// payload it came from (kept alive by the owner apply() is handed), so
-/// replicating a PUT stream across a 65-node cluster neither copies the value
-/// once per replica nor turns into an allocator benchmark. Only a new key
-/// allocates (its hash node and key string).
+/// decode to views, lookups take the key as a view, and a stored value
+/// aliases the payload it came from (kept alive by the owner apply() is
+/// handed), so replicating a PUT stream across a 65-node cluster neither
+/// copies the value once per replica nor turns into an allocator benchmark.
+/// Keys live in a flat KeyIndex: a new key allocates only when it outgrows
+/// the small-string buffer or the table doubles.
 class KvStateMachine final : public StateMachine {
  public:
   using StateMachine::apply;
@@ -130,28 +99,33 @@ class KvStateMachine final : public StateMachine {
 
   /// Deterministic serialization: the revision, then every (key, value) pair
   /// in sorted key order, all fields length-prefixed (the same <len>:<bytes>
-  /// framing the command encoding uses). Sorting matters: the hash map's
-  /// iteration order depends on insertion history, which differs between a
-  /// replica that applied every command and one restored from an earlier
-  /// snapshot — equal states must serialize identically.
+  /// framing the command encoding uses). Sorting matters: the index's slot
+  /// order depends on insertion history, which differs between a replica
+  /// that applied every command and one restored from an earlier snapshot —
+  /// equal states must serialize identically.
   [[nodiscard]] std::string snapshot() const override {
-    std::vector<std::string_view> keys;
-    keys.reserve(data_.size());
-    for (const auto& [key, value] : data_) keys.push_back(key);
-    std::sort(keys.begin(), keys.end());
+    std::vector<std::pair<std::string_view, std::string_view>> pairs;
+    pairs.reserve(data_.size());
+    data_.for_each([&](std::string_view key, const Value& value) {
+      pairs.emplace_back(key, value.bytes);
+    });
+    std::sort(pairs.begin(), pairs.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
     std::string out;
     char rev[24];
     const auto [end, ec] = std::to_chars(rev, rev + sizeof rev, revision_);
     (void)ec;  // 64-bit decimal always fits
     detail::encode_field(out, std::string_view(rev, end));
-    for (const std::string_view key : keys) {
+    for (const auto& [key, bytes] : pairs) {
       detail::encode_field(out, key);
-      detail::encode_field(out, data_.find(key)->second.bytes);
+      detail::encode_field(out, bytes);
     }
     return out;
   }
 
-  /// Values alias the blob (the restored store holds no copy of it).
+  /// Values alias the blob (the restored store holds no copy of it). Keys
+  /// must be strictly increasing, as snapshot() writes them: a repeated key
+  /// would otherwise leave whichever value the index kept.
   void restore(std::string_view blob, const Owner& owner) override {
     DYNA_EXPECTS(owner != nullptr);
     data_.clear();
@@ -162,27 +136,21 @@ class KvStateMachine final : public StateMachine {
     const auto [ptr, ec] =
         std::from_chars(rev->data(), rev->data() + rev->size(), revision_);
     DYNA_EXPECTS(ec == std::errc{} && ptr == rev->data() + rev->size());
+    std::optional<std::string_view> previous;  // nullopt sorts before every key
     while (pos < blob.size()) {
       const auto key = detail::decode_field(blob, pos);
       const auto value = detail::decode_field(blob, pos);
       DYNA_EXPECTS(key.has_value() && value.has_value());
-      data_.emplace(*key, Value{*value, owner});
+      DYNA_EXPECTS(previous < key);
+      previous = key;
+      data_.insert_or_assign(*key, Value{*value, owner});
     }
   }
-
-  /// Transparent hash so find(string_view) never materializes a key.
-  struct StringHash {
-    using is_transparent = void;
-    [[nodiscard]] std::size_t operator()(std::string_view s) const noexcept {
-      return std::hash<std::string_view>{}(s);
-    }
-  };
-  using Store = std::unordered_map<std::string, Value, StringHash, std::equal_to<>>;
 
   // ---- Introspection (tests, examples) ----
   [[nodiscard]] std::uint64_t revision() const noexcept { return revision_; }
   [[nodiscard]] std::size_t size() const noexcept { return data_.size(); }
-  [[nodiscard]] const Store& data() const noexcept { return data_; }
+  [[nodiscard]] const KeyIndex& data() const noexcept { return data_; }
 
   /// Exact state equality: same revision, same (key, value) set. Agrees with
   /// comparing snapshot() bytes (that encoding is injective) but needs no
@@ -192,8 +160,8 @@ class KvStateMachine final : public StateMachine {
     return a.revision_ == b.revision_ && a.data_ == b.data_;
   }
 
-  /// Empty store, revision 0 — a brand-new replica. Keeps the hash table's
-  /// bucket array (trial reuse).
+  /// Empty store, revision 0 — a brand-new replica. Keeps the index's slot
+  /// arrays (trial reuse).
   void reset_for_trial() {
     data_.clear();
     revision_ = 0;
@@ -209,31 +177,24 @@ class KvStateMachine final : public StateMachine {
       case Op::Put: {
         DYNA_EXPECTS(owner != nullptr);
         ++revision_;
-        const auto it = data_.find(cmd->key);
-        if (it == data_.end()) {
-          data_.emplace(cmd->key, Value{cmd->value, owner});
-        } else {
-          it->second = Value{cmd->value, owner};
-        }
+        data_.insert_or_assign(cmd->key, Value{cmd->value, owner});
         return ok_result(revision_);
       }
       case Op::Get: {
-        const auto it = data_.find(cmd->key);
-        return it == data_.end() ? "(nil)" : std::string(it->second.bytes);
+        const Value* value = data_.find(cmd->key);
+        return value == nullptr ? "(nil)" : std::string(value->bytes);
       }
       case Op::Del: {
-        const auto it = data_.find(cmd->key);
-        if (it == data_.end()) return "(nil)";
-        data_.erase(it);
+        if (!data_.erase(cmd->key)) return "(nil)";
         ++revision_;
         return ok_result(revision_);
       }
       case Op::Cas: {
         DYNA_EXPECTS(owner != nullptr);
-        const auto it = data_.find(cmd->key);
-        if (it != data_.end() && it->second == cmd->expected) {
+        Value* value = data_.find(cmd->key);
+        if (value != nullptr && *value == cmd->expected) {
           ++revision_;
-          it->second = Value{cmd->value, owner};
+          *value = Value{cmd->value, owner};
           return ok_result(revision_);
         }
         return "FAIL";
@@ -250,7 +211,7 @@ class KvStateMachine final : public StateMachine {
     return std::string(buf, end);
   }
 
-  Store data_;
+  KeyIndex data_;
   std::uint64_t revision_ = 0;
 };
 

@@ -4,6 +4,8 @@
 // including post-restart replay, which rewinds a node's apply watermark.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "cluster/cluster.hpp"
@@ -156,30 +158,36 @@ TEST(InvariantChecker, AuditAppliedStateFlagsDivergedReplicas) {
 struct KeyScripts {
   std::vector<std::vector<std::string>> per_key;
 
-  KeyScripts(Rng& rng, std::size_t keys) : per_key(keys) {
+  KeyScripts(Rng& rng, std::size_t keys, double del_p = 0.3) : per_key(keys) {
     for (std::size_t k = 0; k < keys; ++k) {
       const std::string key = "key-" + std::to_string(k);
       const std::size_t ops = 1 + rng.uniform_index(6);
       for (std::size_t i = 0; i < ops; ++i) {
-        per_key[k].push_back(rng.bernoulli(0.3) ? del(key)
-                                                : put(key, std::to_string(rng.uniform_index(4))));
+        per_key[k].push_back(rng.bernoulli(del_p)
+                                 ? del(key)
+                                 : put(key, std::to_string(rng.uniform_index(4))));
       }
     }
   }
 
-  /// One random interleaving that keeps each key's own op order.
+  /// One random interleaving that keeps each key's own op order: each step
+  /// picks uniformly among the keys with ops left, in key order.
   [[nodiscard]] std::vector<std::string> interleave(Rng& rng) const {
     std::vector<std::size_t> next(per_key.size(), 0);
-    std::vector<std::string> out;
-    for (;;) {
-      std::vector<std::size_t> open;
-      for (std::size_t k = 0; k < per_key.size(); ++k) {
-        if (next[k] < per_key[k].size()) open.push_back(k);
-      }
-      if (open.empty()) return out;
-      const std::size_t k = open[rng.uniform_index(open.size())];
-      out.push_back(per_key[k][next[k]++]);
+    std::vector<std::size_t> open;
+    for (std::size_t k = 0; k < per_key.size(); ++k) {
+      if (!per_key[k].empty()) open.push_back(k);
     }
+    std::vector<std::string> out;
+    while (!open.empty()) {
+      const std::size_t pick = rng.uniform_index(open.size());
+      const std::size_t k = open[pick];
+      out.push_back(per_key[k][next[k]++]);
+      if (next[k] == per_key[k].size()) {
+        open.erase(open.begin() + static_cast<std::ptrdiff_t>(pick));
+      }
+    }
+    return out;
   }
 };
 
@@ -229,6 +237,56 @@ TEST(InvariantChecker, InPlaceStateComparisonAgreesWithSnapshotBytes) {
     EXPECT_FALSE(a == bumped);
     EXPECT_TRUE(agrees(a, bumped));
   }
+}
+
+TEST(InvariantChecker, InPlaceStateComparisonAgreesWithSnapshotBytesAtScale) {
+  // Thousands of keys and DEL-heavy scripts: two interleavings (and a
+  // restore partway through, which reinserts in key order) leave the keys in
+  // different slots of the index, and == must still agree with the bytes.
+  const auto agrees = [](const kv::KvStateMachine& x, const kv::KvStateMachine& y) {
+    return (x == y) == (x.snapshot() == y.snapshot());
+  };
+  const auto slot_order = [](const kv::KvStateMachine& m) {
+    std::vector<std::string> keys;
+    m.data().for_each([&](std::string_view key, const kv::Value&) { keys.emplace_back(key); });
+    return keys;
+  };
+  Rng rng = testutil::test_rng(2025);
+  int layouts_differ = 0;
+  for (int trial = 0; trial < 4; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const KeyScripts scripts(rng, 2000 + rng.uniform_index(1000), 0.6);
+    const auto ops_a = scripts.interleave(rng);
+    const auto ops_b = scripts.interleave(rng);
+    const kv::KvStateMachine a = replay(ops_a, rng.uniform_index(ops_a.size() + 1));
+    const kv::KvStateMachine b = replay(ops_b, rng.uniform_index(ops_b.size() + 1));
+    ASSERT_GE(a.size(), 500u);
+    ASSERT_TRUE(a == b);
+    ASSERT_TRUE(agrees(a, b));
+    layouts_differ += slot_order(a) != slot_order(b) ? 1 : 0;
+
+    const std::string some_key = slot_order(a).front();
+    // One key deleted on one side: sizes and revisions differ.
+    kv::KvStateMachine fewer = b;
+    (void)fewer.apply_one(del(some_key));
+    EXPECT_FALSE(a == fewer);
+    EXPECT_TRUE(agrees(a, fewer));
+    // Same revision and keys, one value differs.
+    kv::KvStateMachine ax = a, bx = b;
+    (void)ax.apply_one(put(some_key, "x"));
+    (void)bx.apply_one(put(some_key, "y"));
+    EXPECT_FALSE(ax == bx);
+    EXPECT_TRUE(agrees(ax, bx));
+    // Same (key, value) pairs after a deleted key comes back; revision + 2.
+    kv::KvStateMachine bumped = b;
+    const std::string value(b.data().at(some_key).bytes);
+    (void)bumped.apply_one(del(some_key));
+    (void)bumped.apply_one(put(some_key, value));
+    ASSERT_EQ(bumped.data(), a.data());
+    EXPECT_FALSE(a == bumped);
+    EXPECT_TRUE(agrees(a, bumped));
+  }
+  EXPECT_GT(layouts_differ, 0);
 }
 
 TEST(InvariantChecker, ClearResetsEverything) {
