@@ -193,6 +193,8 @@ class KeyIndex {
 
  private:
   struct Slot {
+    Slot(std::string_view k, Value v) : key(k), value(std::move(v)) {}
+
     std::string key;
     Value value;
   };
@@ -244,7 +246,7 @@ class KeyIndex {
   }
 
   void place(std::size_t index, std::size_t h, std::string_view key, Value value) {
-    std::construct_at(slots_ + index, std::string(key), std::move(value));
+    std::construct_at(slots_ + index, key, std::move(value));
     ctrl_[index] = tag_of(h);
     ++size_;
   }

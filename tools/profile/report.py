@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Report a profshim sampling profile. Standard library plus binutils' addr2line.
 
-    report.py profshim.<pid> [--top 25] [--filter REGEX]
+    report.py profshim.<pid> [--filter REGEX]
 
 reads profshim.<pid>.samples and profshim.<pid>.maps (see profshim.c),
 resolves every address with `addr2line -a -f -i -C` (inlined frames
-included) and prints three tables, each as a share of all samples:
+included) and prints the top rows of three tables, each as a share of all
+samples:
 
     self        the function the interrupted PC was in (innermost inline);
     inclusive   every function anywhere on the sample's stack, once per sample;
@@ -29,6 +30,7 @@ import subprocess
 import sys
 
 ET_EXEC = 2
+ROWS = 30  # rows printed per table
 
 
 def read_maps(path):
@@ -125,9 +127,9 @@ def symbolize(samples, maps):
     return stacks
 
 
-def print_table(title, counter, total, top):
+def print_table(title, counter, total):
     print(f"\n{title}")
-    for name, n in counter.most_common(top):
+    for name, n in counter.most_common(ROWS):
         print(f"  {100.0 * n / total:6.2f}%  {n:7d}  {name[:140]}")
 
 
@@ -135,7 +137,6 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("prefix", help="profshim.<pid> (the path without .samples/.maps)")
-    parser.add_argument("--top", type=int, default=25)
     parser.add_argument("--filter", help="keep samples with a matching function on the stack")
     args = parser.parse_args()
 
@@ -155,9 +156,9 @@ def main():
         inclusive.update({fn for fn, _ in stack})
     print(f"{total} samples" + (f"; {len(stacks)} ({100.0 * len(stacks) / total:.2f}%) "
                                 f"match --filter {args.filter!r}" if args.filter else ""))
-    print_table("self (interrupted function)", self_time, total, args.top)
-    print_table("inclusive (anywhere on the stack)", inclusive, total, args.top)
-    print_table("line (interrupted source line)", lines, total, args.top)
+    print_table("self (interrupted function)", self_time, total)
+    print_table("inclusive (anywhere on the stack)", inclusive, total)
+    print_table("line (interrupted source line)", lines, total)
 
 
 if __name__ == "__main__":
