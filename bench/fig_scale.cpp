@@ -14,8 +14,8 @@
 //     CI gate compares these only under a matching --runner-class (see
 //     tools/check_bench_csv.py), since absolute numbers move across hosts.
 //
-// The link-table column is exact: the dense n*n per-directed-link state the
-// network keeps (bench/reference/fig_scale.csv pins the whole table).
+// The link-table column is exact: the one n*n tile of per-directed-link
+// state the network keeps (bench/reference/fig_scale.csv pins the whole table).
 //
 // Usage: fig_scale [--sizes=5,15,33,65] [--kills=N] [--steady-sec=S]
 //                  [--seed=S] [--threads=T] [--csv=FILE]
@@ -146,7 +146,7 @@ int main(int argc, char** argv) {
     }
   }
   table.print();
-  std::printf("\nlink table = dense n*n per-directed-link state; RSS = process VmHWM\n");
+  std::printf("\nlink table = one n*n tile of per-directed-link state; RSS = process VmHWM\n");
 
   if (const auto csv_path = cli.get("csv")) {
     CsvWriter csv(*csv_path,

@@ -142,6 +142,7 @@ BENCHMARK(BM_EventChurnSchedStep)->Arg(1000000);
 void BM_NetworkSendDeliver(benchmark::State& state) {
   sim::Simulator sim;
   net::Network net(sim, Rng(7));
+  net.configure_groups(2, 1);  // in-tile, as a cluster's servers are
   std::uint64_t delivered = 0;
   const NodeId a = net.add_node();
   const NodeId b = net.add_node([&delivered](NodeId, const net::Message&) { ++delivered; });
@@ -156,9 +157,11 @@ BENCHMARK(BM_NetworkSendDeliver);
 
 void BM_NetworkSendDatagram(benchmark::State& state) {
   // Pure send+deliver cost on the lossy path, batched so the event queue sees
-  // realistic in-flight depth (64 messages across a 5-node full mesh).
+  // realistic in-flight depth (64 messages across a 5-node full mesh, one
+  // tile as in a 5-server cluster).
   sim::Simulator sim;
   net::Network net(sim, Rng(7));
+  net.configure_groups(5, 1);
   std::uint64_t delivered = 0;
   std::vector<NodeId> nodes;
   for (int i = 0; i < 5; ++i) {
@@ -181,6 +184,7 @@ void BM_NetworkSendReliable(benchmark::State& state) {
   // Reliable path: FIFO enforcement + retransmit model + turbulence tracking.
   sim::Simulator sim;
   net::Network net(sim, Rng(7));
+  net.configure_groups(5, 1);
   std::uint64_t delivered = 0;
   std::vector<NodeId> nodes;
   for (int i = 0; i < 5; ++i) {
@@ -205,18 +209,21 @@ BENCHMARK(BM_NetworkSendReliable);
 
 void BM_LinkLookup(benchmark::State& state) {
   // Per-send link resolution: the one table access on the send hot path.
-  // Arg(0) selects the layout/pair class: 0 = dense single tile (classic
-  // unsharded network), 1 = block-diagonal in-group (tile hit), 2 =
-  // block-diagonal cross-group (sparse side table, steady state after the
+  // Arg(0) selects the layout/pair class: 0 = one tile over all 264 nodes
+  // (a standalone cluster's shape), 1 = eight tiles, in-group (tile hit),
+  // 2 = eight tiles, cross-group (sparse side table, steady state after the
   // pair's first touch promoted it). The three must stay within the same
-  // order of magnitude — the block-diagonal layout may not tax unsharded
-  // call sites, and a promoted cross pair may not fall off a cliff.
+  // order of magnitude — a promoted cross pair may not fall off a cliff.
   constexpr std::size_t kGroupSize = 33;
   constexpr std::size_t kGroups = 8;
   const int mode = static_cast<int>(state.range(0));
   sim::Simulator sim;
   net::Network net(sim, Rng(7));
-  if (mode != 0) net.configure_groups(kGroupSize, kGroups);
+  if (mode == 0) {
+    net.configure_groups(kGroupSize * kGroups, 1);
+  } else {
+    net.configure_groups(kGroupSize, kGroups);
+  }
   net.add_nodes(kGroupSize * kGroups);
   NodeId from = 0;
   NodeId to = 1;
@@ -229,7 +236,7 @@ void BM_LinkLookup(benchmark::State& state) {
     acc ^= net.link_blocked(from, to);
     benchmark::DoNotOptimize(acc);
   }
-  state.SetLabel(mode == 0 ? "dense" : mode == 1 ? "tile" : "cross");
+  state.SetLabel(mode == 0 ? "one-tile" : mode == 1 ? "tile" : "cross");
 }
 BENCHMARK(BM_LinkLookup)->Arg(0)->Arg(1)->Arg(2);
 

@@ -19,10 +19,7 @@ Cluster::Cluster(ClusterConfig config) : cfg_(std::move(config)) {
   } else {
     owned_sim_ = std::make_unique<sim::Simulator>();
     sim_ = owned_sim_.get();
-    Rng master(cfg_.seed);
-    owned_net_ = std::make_unique<net::Network>(*sim_, master.fork(1), cfg_.transport);
-    net_ = owned_net_.get();
-    net_->set_default_schedule(cfg_.links);
+    build_owned_network();
   }
 
   if (cfg_.perf_cost) {
@@ -50,10 +47,9 @@ Cluster::Cluster(ClusterConfig config) : cfg_(std::move(config)) {
     for (std::size_t i = 0; i < cfg_.servers; ++i) arm_injector(i);
   }
 
-  // Owned substrate: ids 0..servers-1. Shared substrate: the owner
-  // constructs groups in node_base order, so the batch lands exactly on this
-  // group's slice of the id space. One add_nodes() call = one link-table
-  // growth for the whole group instead of an O(n^2) re-stride per server.
+  // Owned substrate: ids 0..servers-1, the network's one tile. Shared
+  // substrate: the owner constructs groups in node_base order, so the batch
+  // lands exactly on this group's tile.
   const NodeId first_id = net_->add_nodes(cfg_.servers);
   DYNA_ASSERT(first_id == cfg_.node_base);
   for (std::size_t i = 0; i < cfg_.servers; ++i) {
@@ -148,10 +144,28 @@ void Cluster::teardown_nodes() {
   }
 }
 
+void Cluster::build_owned_network() {
+  Rng master(cfg_.seed);
+  owned_net_ = std::make_unique<net::Network>(*sim_, master.fork(1), cfg_.transport);
+  net_ = owned_net_.get();
+  // One tile over the servers, as ShardedCluster tiles each shard: client
+  // endpoints and servers added mid-trial take the sparse cross-pair path.
+  net_->configure_groups(cfg_.servers, 1);
+  net_->set_default_schedule(cfg_.links);
+}
+
 void Cluster::reset_substrate() {
   DYNA_EXPECTS(owns_substrate());
   sim_->reset();
 
+  if (net_->group_size() != cfg_.servers) {
+    // A new server count is a new tile geometry, which a network keeps for
+    // its lifetime. reset_begin tore every node down (a size change is a
+    // reconfigure), so build_node reinstalls every handler on the new one.
+    build_owned_network();
+    net_->add_nodes(cfg_.servers);
+    return;
+  }
   Rng master(cfg_.seed);  // same stream derivation as the constructor
   if (pending_reconfigure_) {
     net_->reset_for_trial(master.fork(1), cfg_.servers, cfg_.transport);

@@ -104,12 +104,16 @@ class Cluster {
   /// Rebuild-in-place for a new trial: observationally identical to
   /// destroying this cluster and constructing a fresh one from `config`, but
   /// reusing the warmed allocations — the simulator's event containers, the
-  /// network's n*n link table / in-flight arena / handler closures, the
+  /// network's n*n link tile / in-flight arena / handler closures, the
   /// per-server storage buffers and service queues. Node objects are rebuilt
   /// (a trial starts from a cold deployment), everything beneath them is
-  /// reset, not reallocated. Fresh-construction equivalence is the reset
-  /// contract pinned by tests/test_trial_reuse.cpp; external observers in
-  /// `config.observers` see consecutive trials and must cope on their own.
+  /// reset, not reallocated — except the network when `config.servers`
+  /// differs from the current size: the tile size is fixed for a network's
+  /// lifetime, so that reset builds a new one, and a `network()` reference
+  /// taken before it does not survive it. Fresh-construction equivalence is
+  /// the reset contract pinned by tests/test_trial_reuse.cpp; external
+  /// observers in `config.observers` see consecutive trials and must cope on
+  /// their own.
   void reset(ClusterConfig config);
 
   /// Seed-only fast path: identical to reset(config) where only
@@ -216,6 +220,7 @@ class Cluster {
  private:
   void build_node(NodeId id, bool as_learner = false);
   void teardown_nodes();
+  void build_owned_network();
   void reset_substrate();
   void arm_injector(std::size_t idx);
   [[nodiscard]] bool owns_substrate() const noexcept { return owned_sim_ != nullptr; }

@@ -6,12 +6,8 @@
 namespace dyna::kv {
 
 KvClient::KvClient(sim::Simulator& simulator, net::Network& network, std::vector<NodeId> servers,
-                   Rng rng, Config config)
-    : sim_(&simulator),
-      net_(&network),
-      servers_(std::move(servers)),
-      rng_(std::move(rng)),
-      config_(config) {
+                   Rng rng)
+    : sim_(&simulator), net_(&network), servers_(std::move(servers)), rng_(std::move(rng)) {
   DYNA_EXPECTS(!servers_.empty());
   endpoint_ = net_->add_node([this](NodeId from, const net::Message& payload) {
     on_message(from, payload);
@@ -96,7 +92,8 @@ void KvClient::send_attempt(std::uint64_t seq) {
   if (pp == nullptr) return;
   Pending& p = *pp;
 
-  if (p.attempts >= config_.max_attempts) {
+  constexpr int kMaxAttempts = 20;
+  if (p.attempts >= kMaxAttempts) {
     complete(seq, false, "ERR too-many-attempts");
     return;
   }
@@ -110,7 +107,8 @@ void KvClient::send_attempt(std::uint64_t seq) {
   net_->send(endpoint_, target_, raft::Message(std::move(req)), net::Transport::Reliable,
              64 + p.payload.size());
 
-  p.timeout_event = sim_->schedule_after(config_.request_timeout, [this, seq] {
+  constexpr Duration kRequestTimeout = 1s;  // per attempt, then retry elsewhere
+  p.timeout_event = sim_->schedule_after(kRequestTimeout, [this, seq] {
     Pending* pending = find_pending(seq);
     if (pending == nullptr) return;
     pending->timeout_event = sim::kInvalidEvent;
@@ -160,8 +158,9 @@ void KvClient::on_message(NodeId /*from*/, const net::Message& payload) {
   // Track the backoff event in the same slot as the retry timer so teardown
   // can cancel it; send_attempt overwrites the slot when it fires.
   const std::uint64_t seq = resp->client_seq;
+  constexpr Duration kRedirectBackoff = 5ms;
   p.timeout_event =
-      sim_->schedule_after(config_.redirect_backoff, [this, seq] { send_attempt(seq); });
+      sim_->schedule_after(kRedirectBackoff, [this, seq] { send_attempt(seq); });
 }
 
 void KvClient::complete(std::uint64_t seq, bool ok, std::string value) {

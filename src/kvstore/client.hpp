@@ -35,18 +35,8 @@ class KvClient {
  public:
   using DoneFn = std::function<void(const ClientResult&)>;
 
-  struct Config {
-    Duration request_timeout = 1s;   ///< per-attempt timeout before retry
-    Duration redirect_backoff = 5ms; ///< delay before following a redirect
-    int max_attempts = 20;
-  };
-
   KvClient(sim::Simulator& simulator, net::Network& network, std::vector<NodeId> servers,
-           Rng rng, Config config);
-
-  KvClient(sim::Simulator& simulator, net::Network& network, std::vector<NodeId> servers,
-           Rng rng)
-      : KvClient(simulator, network, std::move(servers), std::move(rng), Config{}) {}
+           Rng rng);
 
   KvClient(const KvClient&) = delete;
   KvClient& operator=(const KvClient&) = delete;
@@ -137,7 +127,6 @@ class KvClient {
   net::Network* net_;
   std::vector<NodeId> servers_;
   Rng rng_;
-  Config config_;
   NodeId endpoint_;
   NodeId target_;  ///< server currently believed to be the leader
   std::function<void(NodeId)> leader_listener_;

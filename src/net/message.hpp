@@ -51,6 +51,12 @@ class Message {
     return std::holds_alternative<std::monostate>(payload_);
   }
 
+  /// Drop the payload, leaving the message empty. Emplaces the empty
+  /// alternative directly: assigning `Message{}` goes through the variant's
+  /// move-assign, where GCC 12 under ASan+UBSan reports a
+  /// -Wmaybe-uninitialized false positive.
+  void clear() noexcept { payload_.emplace<std::monostate>(); }
+
   /// The Raft protocol message, or nullptr when this is not Raft traffic.
   [[nodiscard]] const raft::Message* raft() const noexcept {
     return std::get_if<raft::Message>(&payload_);

@@ -56,31 +56,9 @@ void Network::configure_groups(std::size_t group_size, std::size_t groups) {
 
 NodeId Network::add_nodes(std::size_t count) {
   DYNA_EXPECTS(count >= 1);
-  const std::size_t old_count = nodes_.size();
-  const auto first = static_cast<NodeId>(old_count);
-  nodes_.resize(old_count + count);
-  // Grouped mode: the tiles already exist and ids beyond the tiled region
-  // (client endpoints) take the sparse cross-pair path — no table growth.
-  if (group_size_ == 0) grow_dense(old_count);
+  const auto first = static_cast<NodeId>(nodes_.size());
+  nodes_.resize(nodes_.size() + count);
   return first;
-}
-
-void Network::grow_dense(std::size_t old_count) {
-  const std::size_t n = nodes_.size();
-  if (n <= stride_) return;  // still fits the current stride
-  // Batched construction from empty allocates the exact final stride (the
-  // committed link_table_bytes references are n^2 * sizeof(Link)); from a
-  // live table the stride doubles so k incremental add_node calls re-stride
-  // O(log k) times instead of k.
-  const std::size_t new_stride = old_count == 0 ? n : std::max(n, stride_ * 2);
-  std::vector<Link> grown(new_stride * new_stride);
-  for (std::size_t from = 0; from < old_count; ++from) {
-    for (std::size_t to = 0; to < old_count; ++to) {
-      grown[from * new_stride + to] = std::move(links_[from * stride_ + to]);
-    }
-  }
-  links_ = std::move(grown);
-  stride_ = new_stride;
 }
 
 void Network::hard_reset_links() {
@@ -95,12 +73,11 @@ void Network::hard_reset_links() {
 
 void Network::reset_for_trial(Rng rng, std::size_t node_count) {
   DYNA_EXPECTS(node_count >= 1);
-  // A grouped table's geometry is fixed for the Network's lifetime: handlers
+  // A tiled table's geometry is fixed for the Network's lifetime: handlers
   // installed on it capture the id->group stride, so a geometry change must
-  // rebuild the Network (shard::ShardedCluster::reset does exactly that).
-  // Resetting back to the tiled region drops client endpoints, as in dense
-  // mode.
-  DYNA_EXPECTS(group_size_ == 0 || node_count == group_count_ * group_size_);
+  // rebuild the Network (Cluster and ShardedCluster resets do exactly that).
+  // Resetting back to the tiled region drops client endpoints.
+  DYNA_EXPECTS(group_count_ == 0 || node_count == group_count_ * group_size_);
   rng_ = std::move(rng);
   nodes_.resize(node_count);
   for (NodeState& n : nodes_) {
@@ -108,14 +85,6 @@ void Network::reset_for_trial(Rng rng, std::size_t node_count) {
     n.parked.clear();
     n.traffic = NodeTraffic{};
     n.stall = StallWindow{};
-  }
-  if (group_size_ == 0 && node_count > stride_) {
-    // Bigger cluster than the table has ever held: re-stride from scratch
-    // (Link is move-only, so a fresh dense table is simpler than salvaging
-    // the old stride).
-    links_.clear();
-    links_.resize(node_count * node_count);
-    stride_ = node_count;
   }
   // Lazy link reset: bump the trial epoch instead of walking the table; a
   // Link with a stale stamp rewinds on first touch (refresh()). Touched
@@ -148,7 +117,7 @@ std::uint32_t Network::arena_acquire(Message&& payload) {
 
 Message Network::arena_release(std::uint32_t slot) {
   Message out = std::move(arena_[slot]);
-  arena_[slot] = Message{};
+  arena_[slot].clear();
   arena_free_.push_back(slot);
   return out;
 }

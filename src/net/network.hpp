@@ -22,18 +22,17 @@
 // partition flag) sits in an indexed Link table — one load per send where the
 // seed engine did four red-black-tree lookups.
 //
-// Link-table layout (kilo-node geometries): by default the table is one
-// dense n*n tile covering every node — the classic single-cluster shape.
-// A sharded deployment calls configure_groups(g, k) before adding nodes,
-// which switches the table to a *block-diagonal* layout: one g*g tile per
-// group for the k*g nodes of the tiled region, O(k*g^2) memory instead of
-// O((k*g)^2). Pairs outside a tile (cross-group servers, client endpoints
-// added after the tiled region) stay *routable but stateless*: they share
-// the network's jitter rng and the default ConditionSchedule, and reads see
-// one immutable default Link. The first state-bearing touch (a send's FIFO
-// watermark or TCP stream update, set_blocked, set_link_schedule) promotes
-// the pair into a sparse side table with full per-pair state — so semantics
-// are exactly those of the dense table, pay-per-touched-pair.
+// Link-table layout: configure_groups(g, k) before adding nodes gives the
+// table k *tiles*, one g*g block per group over node ids [0, k*g) — O(k*g^2)
+// memory instead of O((k*g)^2). A standalone Cluster is one tile over its
+// servers, a ShardedCluster one tile per shard. Every pair outside a tile
+// (cross-group servers, client endpoints and servers added after the tiled
+// region, every pair of a network nobody tiles) is *routable but stateless*:
+// it shares the network's jitter rng and the default ConditionSchedule, and
+// reads see one immutable default Link. The first state-bearing touch (a
+// send's FIFO watermark or TCP stream update, set_blocked,
+// set_link_schedule) promotes the pair into a sparse side table with full
+// per-pair state — so semantics do not depend on where a pair is stored.
 //
 // Trial reset (sweep substrate): every Link carries a trial-epoch stamp.
 // reset_for_trial bumps the network's epoch instead of walking the table;
@@ -129,17 +128,17 @@ class Network {
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
-  /// Switch the link table to the block-diagonal layout: `groups` tiles of
-  /// `group_size` x `group_size`, covering node ids [0, groups*group_size).
-  /// Must be called before any node is added; the geometry is fixed for the
-  /// network's lifetime (a geometry change rebuilds the Network — installed
-  /// handlers capture the id→group mapping anyway, see shard::ShardedCluster).
-  /// Nodes added beyond the tiled region (client endpoints) take the sparse
-  /// cross-pair path. Never calling this keeps the classic dense layout.
+  /// Give the link table `groups` tiles of `group_size` x `group_size`,
+  /// covering node ids [0, groups*group_size). Must be called before any
+  /// node is added; the geometry is fixed for the network's lifetime (a
+  /// geometry change rebuilds the Network — installed handlers capture the
+  /// id→group mapping anyway, see shard::ShardedCluster). Nodes added beyond
+  /// the tiled region (client endpoints) take the sparse cross-pair path;
+  /// without this call every pair does.
   void configure_groups(std::size_t group_size, std::size_t groups);
 
+  /// Tile edge (0 when untiled).
   [[nodiscard]] std::size_t group_size() const noexcept { return group_size_; }
-  [[nodiscard]] std::size_t groups() const noexcept { return group_count_; }
 
   /// Register a node; returns its id. Handlers may be set/replaced later
   /// (nodes are constructed after the network exists).
@@ -150,9 +149,7 @@ class Network {
   }
 
   /// Register `count` nodes at once; returns the first id (ids are
-  /// contiguous). One table growth for the whole batch — cluster
-  /// construction uses this so the dense table is allocated exactly once at
-  /// its final stride instead of re-striding per server.
+  /// contiguous, so a group's servers land on its tile).
   NodeId add_nodes(std::size_t count);
 
   void set_handler(NodeId node, Handler handler) {
@@ -174,10 +171,10 @@ class Network {
   /// bumped and each Link rewinds on its first touch of the new trial, so
   /// the reset itself is O(nodes + touched cross-pairs) — it never walks the
   /// tile storage. Node handlers are configuration, not trial state, and
-  /// survive for the node indices that survive; `node_count` resizes the
-  /// tables when the next trial needs a different cluster size (in grouped
-  /// mode the tiled geometry is fixed, so `node_count` must equal
-  /// groups*group_size — a geometry change rebuilds the Network). The reset
+  /// survive for the node indices that survive. On a tiled network
+  /// `node_count` must equal groups*group_size: the reset drops the
+  /// endpoints beyond the tiles, and a geometry change rebuilds the Network.
+  /// An untiled network resizes to any `node_count`. The reset
   /// contract (fresh-construction equivalence) is pinned by
   /// tests/test_trial_reuse.cpp and tests/test_net_equivalence.cpp.
   void reset_for_trial(Rng rng, std::size_t node_count);
@@ -296,13 +293,12 @@ class Network {
   };
 
   /// Everything the transport tracks about one directed (from,to) pair.
-  /// Lives in a tile of the block-diagonal table (dense mode: the single
-  /// tile), or in the sparse cross-pair table once touched. `epoch` is the
-  /// lazy-reset stamp: a Link whose epoch differs from the network's
-  /// trial_epoch_ is logically in its freshly-built state and is physically
-  /// rewound on first access (see refresh()). The stamp lives in what used
-  /// to be padding — sizeof(Link) is unchanged at 48 bytes on LP64, which
-  /// the committed link_table_bytes reference columns depend on.
+  /// Lives in a tile, or in the sparse cross-pair table once touched.
+  /// `epoch` is the lazy-reset stamp: a Link whose epoch differs from the
+  /// network's trial_epoch_ is logically in its freshly-built state and is
+  /// physically rewound on first access (see refresh()). The stamp lives in
+  /// what used to be padding — sizeof(Link) is unchanged at 48 bytes on
+  /// LP64, which the committed link_table_bytes reference columns depend on.
   struct Link {
     std::unique_ptr<ConditionSchedule> override_schedule;  ///< null => default
     TimePoint reliable_last_delivery = kSimEpoch;          ///< FIFO watermark
@@ -351,15 +347,15 @@ class Network {
     return l;
   }
 
-  /// Storage cell for (from,to) if the pair lives in a tile: the dense
-  /// single tile, or the group tile when both endpoints share a group.
+  /// Storage cell for (from,to) if both endpoints share a group tile.
   /// nullptr => cross-tile pair (sparse path).
   [[nodiscard]] Link* tile_slot(NodeId from, NodeId to) const noexcept {
     const auto f = static_cast<std::size_t>(from);
     const auto t = static_cast<std::size_t>(to);
-    if (group_size_ == 0) return &links_[f * stride_ + t];
+    // Also catches an untiled network (0 tiles) before any division by zero.
+    if (f >= group_count_ * group_size_) return nullptr;
     const std::size_t g = f / group_size_;
-    if (g >= group_count_ || g != t / group_size_) return nullptr;
+    if (g != t / group_size_) return nullptr;
     const std::size_t base = g * group_size_;
     return &links_[base * group_size_ + (f - base) * group_size_ + (t - base)];
   }
@@ -384,11 +380,6 @@ class Network {
     if (it == cross_.end()) return default_link_;
     return refresh(it->second);
   }
-
-  /// Grow the dense tile after add_nodes. Batched construction allocates
-  /// the exact final stride in one step; incremental add_node doubles the
-  /// stride so k single adds re-stride O(log k) times, not k times.
-  void grow_dense(std::size_t old_count);
 
   /// Eager fallback for the epoch wrap: physically rewind every tile cell
   /// so stale stamps from the previous 32-bit period cannot alias.
@@ -425,20 +416,17 @@ class Network {
   std::vector<NodeState> nodes_;
 
   // ---- Link table ----
-  /// Dense mode (group_size_ == 0): one stride_*stride_ tile, indexed
-  /// from*stride_+to, stride_ >= node_count. Grouped mode: group_count_
-  /// tiles of group_size_^2, tile g at offset g*group_size_^2.
+  /// group_count_ tiles of group_size_^2, tile g at offset g*group_size_^2.
   /// `mutable`: refresh() rewinds lazily-reset cells through const reads —
   /// observable state is unchanged (that is the reset contract).
   mutable std::vector<Link> links_;
-  /// Touched cross-tile pairs (grouped mode only), keyed (from<<32)|to.
+  /// Touched cross-tile pairs, keyed (from<<32)|to.
   mutable std::unordered_map<std::uint64_t, Link> cross_;
   /// Shared stateless entry read by untouched cross-tile pairs. Never
   /// mutated, never stamped — it *is* the freshly-built state.
   Link default_link_;
-  std::size_t group_size_ = 0;   ///< 0 => dense single-tile mode
-  std::size_t group_count_ = 1;
-  std::size_t stride_ = 0;       ///< dense-mode row stride
+  std::size_t group_size_ = 0;
+  std::size_t group_count_ = 0;  ///< 0 => untiled: every pair is sparse
   std::uint32_t trial_epoch_ = 1;
 
   /// In-flight message arena: a delivery event captures only a slot index,

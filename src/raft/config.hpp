@@ -30,9 +30,6 @@ struct RaftConfig {
   /// quantization (continuous draw).
   Duration tick = 100ms;
 
-  /// Run the pre-vote phase before real elections (modern Raft default).
-  bool prevote = true;
-
   /// Attach HeartbeatMeta to heartbeats and echo it on responses
   /// (measurement plumbing; enabled in Dynatune mode).
   bool measure_network = false;
@@ -56,24 +53,17 @@ struct RaftConfig {
   /// per-path pacing precision for one timer instead of n-1.
   bool consolidated_heartbeat_timer = false;
 
-  /// Replication batching window: entries submitted within this window are
-  /// shipped in one AppendEntries per follower.
-  Duration batch_delay = 500us;
-
-  /// Cap on entries per AppendEntries message.
-  std::size_t max_entries_per_append = 4096;
-
-  /// Leader-side group commit: client commands arriving within the
-  /// batch_delay window coalesce into ONE multi-command log entry (a batch
-  /// frame), with per-command completion fan-out when it applies. Admission
-  /// is pipelined — a new batch accumulates while earlier ones are still in
-  /// flight. Off by default: every reference trace predates this knob.
+  /// Leader-side group commit: client commands arriving within one 500 us
+  /// replication batching window coalesce into ONE multi-command log entry
+  /// (a batch frame), with per-command completion fan-out when it applies.
+  /// Admission is pipelined — a new batch accumulates while earlier ones are
+  /// still in flight. Off by default: every reference trace predates this
+  /// knob.
   bool group_commit = false;
 
-  /// Group-commit caps: a batch seals early once it holds this many commands
-  /// or this many payload bytes (whichever trips first).
+  /// Group-commit cap: a batch seals early once it holds this many commands
+  /// (or 64 KiB of frame, whichever trips first).
   std::size_t max_batch_commands = 64;
-  std::size_t max_batch_bytes = 64 * 1024;
 
   /// Leader ReadIndex fast path: read-only client commands (classified by
   /// the host's read hook) are answered from the leader's state machine

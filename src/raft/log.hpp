@@ -40,7 +40,7 @@
 // handle. Every replica of a PUT then aliases the one copy its shared
 // segment holds. A value pins exactly one segment, and no segment grows
 // with run length (a broadcast round, a merged catch-up view of at most
-// max_entries_per_append entries, or a restart's replayed durable suffix),
+// one AppendEntries' 4096 entries, or a restart's replayed durable suffix),
 // so the memory kept alive past compaction is bounded by live keys x the
 // largest segment.
 #pragma once

@@ -285,11 +285,7 @@ void RaftNode::on_election_deadline() {
   policy_->on_election_timeout();
   leader_ = kNoNode;
 
-  if (config_.prevote) {
-    start_prevote();
-  } else {
-    start_election();
-  }
+  start_prevote();
 }
 
 // ---- Role transitions -----------------------------------------------------------
@@ -513,9 +509,12 @@ void RaftNode::send_heartbeat(std::size_t slot) {
 }
 
 void RaftNode::schedule_flush() {
+  // Replication batching window: entries submitted within it ship in one
+  // AppendEntries per follower (and, under group commit, seal one batch).
+  constexpr Duration kBatchDelay = 500us;
   if (flush_scheduled_) return;
   flush_scheduled_ = true;
-  flush_event_ = sim_->schedule_after(config_.batch_delay, [this] {
+  flush_event_ = sim_->schedule_after(kBatchDelay, [this] {
     flush_scheduled_ = false;
     flush_event_ = sim::kInvalidEvent;
     with_crash_guard([this] {
@@ -555,8 +554,8 @@ void RaftNode::replicate_to(std::size_t slot) {
   req.read_barrier = barrier_clock_;  // 0 unless ReadIndex is live
   const LogIndex last = last_log_index();
   if (next <= last) {
-    const std::size_t count =
-        std::min<std::size_t>(last - next + 1, config_.max_entries_per_append);
+    constexpr std::size_t kMaxEntriesPerAppend = 4096;
+    const std::size_t count = std::min<std::size_t>(last - next + 1, kMaxEntriesPerAppend);
     // Shared view into the segment store: the first request of a broadcast
     // round seals the fresh suffix (a move); every later follower aliases
     // the same immutable segment. No per-follower entry copies.
@@ -1081,17 +1080,18 @@ void RaftNode::on_client_request(NodeId from, const ClientRequest& req) {
   }
 
   // Group commit: accumulate into the open batch; seal early when a cap
-  // trips, otherwise let the batch_delay flush seal the window.
+  // trips, otherwise let the batching-window flush seal it.
   if (config_.group_commit) {
+    constexpr std::size_t kMaxBatchBytes = 64 * 1024;
     const std::size_t add = kv::batch_overhead(req.command.payload);
-    if (!batch_acc_.empty() && batch_acc_bytes_ + add > config_.max_batch_bytes) {
+    if (!batch_acc_.empty() && batch_acc_bytes_ + add > kMaxBatchBytes) {
       seal_batch();  // this member would overflow the byte cap: seal without it
       flush_replication();
     }
     batch_acc_.push_back(PendingCommand{req.command.payload, from, req.command.client_seq});
     batch_acc_bytes_ += add;
     if (batch_acc_.size() >= config_.max_batch_commands ||
-        batch_acc_bytes_ >= config_.max_batch_bytes) {
+        batch_acc_bytes_ >= kMaxBatchBytes) {
       seal_batch();
       flush_replication();
     } else {

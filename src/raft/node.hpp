@@ -367,7 +367,7 @@ class RaftNode {
   std::vector<LogIndex> match_scratch_;  ///< maybe_advance_commit, reused
 
   // ---- Group commit (leader only; config_.group_commit) ----
-  // Commands accepted within a batch_delay window accumulate here, then seal
+  // Commands accepted within one batching window accumulate here, then seal
   // into ONE multi-command log entry. The route deque remembers, per sealed
   // batch entry, which (client, seq) each member result fans back out to —
   // routes and commits are both FIFO in index order, so the front route

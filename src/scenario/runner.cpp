@@ -262,28 +262,10 @@ void apply_topology(const shard::DeploymentView& d, const ScenarioSpec& spec) {
 
 // ---- Partition windows ------------------------------------------------------------
 
-/// Symmetrically (un)cut `nodes` from every *other* endpoint registered on
-/// the network. Members keep reaching each other, so listing one group's
-/// servers isolates the group whole.
-void cut_nodes(net::Network& net, const std::vector<NodeId>& nodes, bool blocked) {
-  const auto n = static_cast<NodeId>(net.node_count());
-  std::vector<char> inside(static_cast<std::size_t>(n), 0);
-  for (const NodeId id : nodes) {
-    DYNA_EXPECTS(id >= 0 && id < n);
-    inside[static_cast<std::size_t>(id)] = 1;
-  }
-  for (const NodeId a : nodes) {
-    for (NodeId b = 0; b < n; ++b) {
-      if (inside[static_cast<std::size_t>(b)] != 0) continue;
-      net.set_blocked(a, b, blocked);
-      net.set_blocked(b, a, blocked);
-    }
-  }
-}
-
-/// Directionally (un)cut `nodes` from every other registered endpoint:
-/// inbound blocks traffic *toward* the listed nodes, outbound traffic *from*
-/// them. Members keep reaching each other, as in the symmetric case.
+/// (Un)cut `nodes` from every other registered endpoint: inbound blocks
+/// traffic *toward* the listed nodes, outbound traffic *from* them, and both
+/// together make a symmetric cut. Members keep reaching each other, so
+/// listing one group's servers isolates the group whole.
 void cut_nodes_directed(net::Network& net, const std::vector<NodeId>& nodes, bool inbound,
                         bool outbound, bool blocked) {
   const auto n = static_cast<NodeId>(net.node_count());
@@ -308,10 +290,12 @@ void schedule_partition_windows(sim::Simulator& sim, net::Network& net,
                                 const FaultPlan& plan) {
   for (const auto& w : plan.partition_windows) {
     if (w.nodes.empty() || w.duration <= Duration{0}) continue;
-    sim.schedule_after(w.start,
-                       [&net, nodes = w.nodes] { cut_nodes(net, nodes, true); });
-    sim.schedule_after(w.start + w.duration,
-                       [&net, nodes = w.nodes] { cut_nodes(net, nodes, false); });
+    sim.schedule_after(w.start, [&net, nodes = w.nodes] {
+      cut_nodes_directed(net, nodes, true, true, true);
+    });
+    sim.schedule_after(w.start + w.duration, [&net, nodes = w.nodes] {
+      cut_nodes_directed(net, nodes, true, true, false);
+    });
   }
   for (const auto& w : plan.asym_windows) {
     if (w.nodes.empty() || w.duration <= Duration{0}) continue;

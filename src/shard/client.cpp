@@ -5,14 +5,14 @@
 namespace dyna::shard {
 
 ShardedKvClient::ShardedKvClient(const DeploymentView& deployment, ShardRouter& router,
-                                 Rng rng, kv::KvClient::Config config)
+                                 Rng rng)
     : router_(&router) {
   DYNA_EXPECTS(router.shards() == deployment.groups());
   clients_.reserve(deployment.groups());
   for (std::size_t s = 0; s < deployment.groups(); ++s) {
     auto client = std::make_unique<kv::KvClient>(
         deployment.sim(), deployment.network(), deployment.group(s).server_ids(),
-        deployment.client_stream(rng, s), config);
+        deployment.client_stream(rng, s));
     // Start at the router's cached leader when one is known — this is what
     // makes the cache pay: only the first client per shard walks the group.
     if (const NodeId hint = router_->leader_hint(s); hint != kNoNode) {

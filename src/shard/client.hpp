@@ -23,8 +23,7 @@ namespace dyna::shard {
 
 class ShardedKvClient {
  public:
-  ShardedKvClient(const DeploymentView& deployment, ShardRouter& router, Rng rng,
-                  kv::KvClient::Config config = {});
+  ShardedKvClient(const DeploymentView& deployment, ShardRouter& router, Rng rng);
 
   ShardedKvClient(const ShardedKvClient&) = delete;
   ShardedKvClient& operator=(const ShardedKvClient&) = delete;

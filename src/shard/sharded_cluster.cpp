@@ -29,10 +29,10 @@ void ShardedCluster::build_network() {
   Rng master(cfg_.group.seed);
   net_ = std::make_unique<net::Network>(sim_, master.fork(1), cfg_.group.transport);
   // Block-diagonal link table: one servers^2 tile per shard instead of a
-  // dense (shards*servers)^2 matrix. Cross-group pairs (client endpoints,
-  // injected partitions) materialize sparsely on first touch; the storage
-  // layout never changes the rng draw order, so sharded traces are
-  // bit-identical to the dense layout's.
+  // (shards*servers)^2 matrix. Cross-group pairs (client endpoints,
+  // injected partitions) materialize sparsely on first touch; where a pair
+  // is stored never changes the rng draw order, so traces do not depend on
+  // the layout.
   net_->configure_groups(cfg_.group.servers, cfg_.shards);
   net_->set_default_schedule(cfg_.group.links);
 }

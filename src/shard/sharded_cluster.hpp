@@ -17,8 +17,8 @@
 // then the shared Simulator/Network reset exactly once, then every group's
 // reset_finish (rebuild against the fresh substrate). A geometry change
 // (different shards or servers-per-group) rebuilds the Network outright:
-// installed handlers capture the id→group mapping, which a re-stride would
-// silently invalidate.
+// installed handlers capture the id→group mapping, which resizing the
+// tiles in place would silently invalidate.
 #pragma once
 
 #include <memory>

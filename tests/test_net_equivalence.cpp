@@ -12,8 +12,9 @@
 // seeded randomized scripts (sends on both transports, link-schedule
 // overrides, directional blocks, isolate, pauses with parked reliable
 // traffic, mid-flight resets) and must produce bit-identical observable
-// behaviour — in dense single-tile mode AND in grouped mode with
-// cross-group client traffic exercising the sparse path.
+// behaviour — on one tile with client endpoints beyond it (a standalone
+// cluster), on several tiles with cross-group client traffic (a sharded
+// deployment), and untiled, where every pair takes the sparse path.
 //
 // Also pinned here: the layout unit contract (add_nodes batch ids,
 // link_table_bytes accounting, const reads never promote, reset drops
@@ -287,7 +288,7 @@ std::uint32_t Network::arena_acquire(Message&& payload) {
 
 Message Network::arena_release(std::uint32_t slot) {
   Message out = std::move(arena_[slot]);
-  arena_[slot] = Message{};
+  arena_[slot].clear();  // the one non-verbatim line: empties the slot as `= Message{}` did
   arena_free_.push_back(slot);
   return out;
 }
@@ -413,8 +414,9 @@ using testutil::constant_link;
 using NetTrace = std::vector<std::tuple<NodeId, int, TimePoint>>;
 
 /// One harness instantiation: Simulator + network (either implementation) +
-/// delivery recorder. `Grouped` selects the block-diagonal layout on the new
-/// Network; the reference has no such mode and always runs dense.
+/// delivery recorder. `groups` tiles of `group_size` plus `clients` endpoints
+/// beyond them; `groups == 0` leaves the new Network untiled. The reference
+/// has no tiles and always runs dense.
 template <class Net>
 struct Harness {
   sim::Simulator sim;
@@ -425,7 +427,7 @@ struct Harness {
           std::size_t clients)
       : net(sim, Rng(net_seed)) {
     if constexpr (std::is_same_v<Net, net::Network>) {
-      if (groups > 1) net.configure_groups(group_size, groups);
+      if (groups >= 1) net.configure_groups(group_size, groups);
     }
     add_endpoints(group_size * groups + clients);
   }
@@ -523,12 +525,28 @@ void expect_observably_equal(A& a, B& b) {
   }
 }
 
-// ---- Randomized equivalence: dense single-tile mode --------------------------------
+// ---- Randomized equivalence: one tile plus clients, and untiled -------------------
 
-TEST(NetEquivalence, DenseModeMatchesDenseReference) {
+TEST(NetEquivalence, SingleTileWithClientsMatchesDenseReference) {
+  // A standalone cluster's shape: 12 servers on one tile, 3 client
+  // endpoints beyond it whose pairs take the sparse path.
+  for (const std::uint64_t seed : {11u, 23u, 57u}) {
+    Harness<denseref::Network> ref(seed, 12, 1, 3);
+    Harness<net::Network> got(seed, 12, 1, 3);
+    run_random_script(ref, 1000 + seed, 300);
+    run_random_script(got, 1000 + seed, 300);
+    expect_observably_equal(ref, got);
+    EXPECT_GT(got.net.cross_link_count(), 0u)
+        << "script never exercised the sparse cross-pair path";
+  }
+}
+
+TEST(NetEquivalence, UntiledMatchesDenseReference) {
+  // Nobody called configure_groups: all 12 endpoints' pairs are sparse.
   for (const std::uint64_t seed : {11u, 23u, 57u}) {
     Harness<denseref::Network> ref(seed, 12, 1, 0);
-    Harness<net::Network> got(seed, 12, 1, 0);
+    Harness<net::Network> got(seed, 0, 0, 12);
+    ASSERT_EQ(ref.net.node_count(), got.net.node_count());
     run_random_script(ref, 1000 + seed, 300);
     run_random_script(got, 1000 + seed, 300);
     expect_observably_equal(ref, got);
@@ -670,9 +688,9 @@ TEST(BlockDiagonalLayout, GroupedResetRequiresTiledGeometry) {
       "precondition");
 }
 
-TEST(BlockDiagonalLayout, DenseModeGeometricGrowthPreservesState) {
-  // Incremental add_node doubles the stride instead of re-striding per add;
-  // existing per-pair state must survive every growth step.
+TEST(BlockDiagonalLayout, UntiledGrowthPreservesSparsePairState) {
+  // On an untiled network every pair is sparse: per-pair state set before
+  // later add_node calls must survive them.
   sim::Simulator sim;
   net::Network net(sim, Rng(1));
   net.add_node();

@@ -271,6 +271,46 @@ TEST(ClusterReset, ReconfigureAcrossSizesAndVariantsMatchesFresh) {
   EXPECT_EQ(fresh, reused);
 }
 
+scenario::ScenarioSpec growing_spec(std::uint64_t seed, std::size_t servers) {
+  scenario::ScenarioSpec spec;
+  spec.name = "reuse-grow";
+  spec.variant = scenario::Variant::Dynatune;
+  spec.servers = servers;
+  spec.seed = seed;
+  spec.topology = scenario::TopologySpec::constant(40ms, 2ms, 0.01);
+  wl::RampConfig ramp;
+  ramp.start_rps = 100;
+  ramp.step_rps = 100;
+  ramp.max_rps = 200;
+  ramp.level_duration = 1s;
+  spec.workload = scenario::WorkloadPlan::open_loop_ramp(ramp);
+  // Cuts servers 0 and 1 off from everyone else, the client included.
+  spec.faults = scenario::FaultPlan::partitions({{500ms, 1s, {0, 1}}});
+  return spec;
+}
+
+TEST(ClusterReset, GrowingServerCountRebuildsNetworkAndMatchesFresh) {
+  // 3 -> 7 servers: the owned network's one tile changes size, so the
+  // reset builds a new network. The second trial's client and partition
+  // window then run on it, the client's pairs on the sparse path.
+  const scenario::ScenarioSpec first = growing_spec(51, 3);
+  const scenario::ScenarioSpec second = growing_spec(52, 7);
+
+  auto c = scenario::ScenarioRunner::materialize(first);
+  (void)scenario::ScenarioRunner::run_on(*c, first);
+  cluster::ClusterConfig cfg = cluster::make_dynatune_config(7, second.seed);
+  cfg.links = constant_link(40ms, 2ms, 0.01);  // the spec's topology layer
+  c->reset(std::move(cfg));
+  EXPECT_EQ(c->network().group_size(), 7u);
+  const scenario::ScenarioResult reused = scenario::ScenarioRunner::run_on(*c, second);
+
+  const scenario::ScenarioResult fresh = scenario::ScenarioRunner::run(second);
+  EXPECT_EQ(fresh, reused);
+  ASSERT_EQ(reused.levels.size(), 2u);
+  EXPECT_GT(reused.levels.back().completed, 0u);
+  EXPECT_GT(c->network().cross_link_count(), 0u);
+}
+
 scenario::ScenarioSpec snapshot_crash_spec(std::uint64_t seed) {
   scenario::ScenarioSpec spec;
   spec.name = "reuse-snapshot";
