@@ -19,7 +19,13 @@ Cluster::Cluster(ClusterConfig config) : cfg_(std::move(config)) {
   } else {
     owned_sim_ = std::make_unique<sim::Simulator>();
     sim_ = owned_sim_.get();
-    build_owned_network();
+    Rng master(cfg_.seed);
+    owned_net_ = std::make_unique<net::Network>(*sim_, master.fork(1), cfg_.transport);
+    net_ = owned_net_.get();
+    // One tile over the servers, as ShardedCluster tiles each shard: client
+    // endpoints and servers added mid-trial take the sparse cross-pair path.
+    net_->configure_groups(cfg_.servers, 1);
+    net_->set_default_schedule(cfg_.links);
   }
 
   if (cfg_.perf_cost) {
@@ -58,8 +64,7 @@ Cluster::Cluster(ClusterConfig config) : cfg_(std::move(config)) {
     } else {
       storages_[i] = std::make_shared<raft::NullStorage>();
     }
-    service_[i] = std::make_unique<ServiceQueue>(*sim_);
-    service_[i]->configure_group(group_model());
+    service_[i] = std::make_unique<ServiceQueue>(*sim_, group_model());
   }
   for (std::size_t i = 0; i < cfg_.servers; ++i) {
     build_node(cfg_.node_base + static_cast<NodeId>(i));
@@ -75,68 +80,36 @@ GroupCostModel Cluster::group_model() const {
   return m;
 }
 
-void Cluster::reset(ClusterConfig config) {
-  reset_begin(std::move(config));
-  reset_substrate();
-  reset_finish();
-}
-
 void Cluster::reset(std::uint64_t seed) {
+  DYNA_EXPECTS(owns_substrate());
   reset_begin(seed);
-  reset_substrate();
+  sim_->reset();
+  Rng master(cfg_.seed);  // same stream derivation as the constructor
+  net_->reset_for_trial(master.fork(1), cfg_.servers);
   reset_finish();
-}
-
-void Cluster::reset_begin(ClusterConfig config) {
-  // Substrate wiring is fixed at construction; a reconfigure reset must
-  // re-state it verbatim (shard::ShardedCluster::group_config does).
-  DYNA_EXPECTS(config.shared_sim == (owns_substrate() ? nullptr : sim_));
-  DYNA_EXPECTS(config.shared_net == (owns_substrate() ? nullptr : net_));
-  DYNA_EXPECTS(owns_substrate() ? config.node_base == 0
-                                : (config.node_base == cfg_.node_base &&
-                                   config.servers == cfg_.servers));
-  cfg_ = std::move(config);
-  pending_reconfigure_ = true;
-  teardown_nodes();
 }
 
 void Cluster::reset_begin(std::uint64_t seed) {
   cfg_.seed = seed;
-  pending_reconfigure_ = false;
-  teardown_nodes();
-}
 
-void Cluster::teardown_nodes() {
-  DYNA_EXPECTS(cfg_.servers >= 1);
-
-  // Node objects survive the reset only when their wiring is provably
-  // unchanged: same config (seed-only reset), same observer set (a perf
-  // model is rebuilt per trial, which moves the observer pointer), and a
-  // policy that knows how to reset itself. Everything else rebuilds.
-  const bool rebuild_nodes = pending_reconfigure_ || nodes_.size() != cfg_.servers ||
-                             cfg_.perf_cost.has_value();
-
-  // Nodes to be rebuilt are destroyed first: their timer destructors cancel
-  // against the *old* simulator state. Destroying them after the reset could
-  // cancel fresh events whose (slot, generation) collides with a stale id.
-  // Kept nodes still hold stale timer handles across the reset — harmless,
+  // A node survives the reset when its policy knows how to rewind itself;
+  // the rest are destroyed first: their timer destructors cancel against
+  // the *old* simulator state. Destroying them after the reset could cancel
+  // fresh events whose (slot, generation) collides with a stale id. Kept
+  // nodes still hold stale timer handles across the reset — harmless,
   // because reset_for_trial() forgets them without cancelling.
   for (auto& n : nodes_) {
-    if (n != nullptr && (rebuild_nodes || !n->policy().resettable_for_trial())) {
-      n.reset();
-    }
+    if (n != nullptr && !n->policy().resettable_for_trial()) n.reset();
   }
 
   // Servers added mid-trial (dynamic membership) exist only for that trial.
   // Their nodes/queues hold timer handles against the *old* simulator, so
   // the extra slots are destroyed here, before the substrate reset; the
   // network itself drops ids >= servers in its own reset_for_trial.
-  if (nodes_.size() > cfg_.servers) {
-    nodes_.resize(cfg_.servers);
-    storages_.resize(cfg_.servers);
-    state_machines_.resize(cfg_.servers);
-    service_.resize(cfg_.servers);
-  }
+  nodes_.resize(cfg_.servers);
+  storages_.resize(cfg_.servers);
+  state_machines_.resize(cfg_.servers);
+  service_.resize(cfg_.servers);
   if (injectors_.size() > cfg_.servers) injectors_.resize(cfg_.servers);
   roster_.resize(cfg_.servers);
   for (std::size_t i = 0; i < cfg_.servers; ++i) {
@@ -144,87 +117,17 @@ void Cluster::teardown_nodes() {
   }
 }
 
-void Cluster::build_owned_network() {
-  Rng master(cfg_.seed);
-  owned_net_ = std::make_unique<net::Network>(*sim_, master.fork(1), cfg_.transport);
-  net_ = owned_net_.get();
-  // One tile over the servers, as ShardedCluster tiles each shard: client
-  // endpoints and servers added mid-trial take the sparse cross-pair path.
-  net_->configure_groups(cfg_.servers, 1);
-  net_->set_default_schedule(cfg_.links);
-}
-
-void Cluster::reset_substrate() {
-  DYNA_EXPECTS(owns_substrate());
-  sim_->reset();
-
-  if (net_->group_size() != cfg_.servers) {
-    // A new server count is a new tile geometry, which a network keeps for
-    // its lifetime. reset_begin tore every node down (a size change is a
-    // reconfigure), so build_node reinstalls every handler on the new one.
-    build_owned_network();
-    net_->add_nodes(cfg_.servers);
-    return;
-  }
-  Rng master(cfg_.seed);  // same stream derivation as the constructor
-  if (pending_reconfigure_) {
-    net_->reset_for_trial(master.fork(1), cfg_.servers, cfg_.transport);
-    net_->set_default_schedule(cfg_.links);
-  } else {
-    net_->reset_for_trial(master.fork(1), cfg_.servers);
-  }
-}
-
 void Cluster::reset_finish() {
   probe_.clear();
   checker_.clear();
+  if (perf_) perf_->clear();
   if (cfg_.fault) {
-    DYNA_EXPECTS(cfg_.durable_log);
     for (std::size_t i = 0; i < cfg_.servers; ++i) arm_injector(i);
-  } else {
-    injectors_.clear();
-  }
-
-  if (pending_reconfigure_ && !cfg_.policy_factory) {
-    const Duration et = cfg_.raft.election_timeout;
-    const Duration h = cfg_.raft.heartbeat_interval;
-    cfg_.policy_factory = [et, h](NodeId) {
-      return std::make_unique<raft::StaticPolicy>(et, h);
-    };
-  }
-
-  // The perf model accumulates per-trial counters: rebuild whenever enabled.
-  perf_.reset();
-  if (cfg_.perf_cost) {
-    perf_ = std::make_unique<PerfModel>(*cfg_.perf_cost, cfg_.perf_bin);
-  }
-
-  storages_.resize(cfg_.servers);
-  state_machines_.resize(cfg_.servers);
-  nodes_.resize(cfg_.servers);
-  service_.resize(cfg_.servers);
-
-  for (std::size_t i = 0; i < cfg_.servers; ++i) {
-    const bool have_durable =
-        dynamic_cast<raft::MemoryStorage*>(storages_[i].get()) != nullptr;
-    if (storages_[i] == nullptr || cfg_.durable_log != have_durable) {
-      if (cfg_.durable_log) {
-        storages_[i] = std::make_shared<raft::MemoryStorage>();
-      } else {
-        storages_[i] = std::make_shared<raft::NullStorage>();
-      }
-    } else {
-      storages_[i]->reset_for_trial();  // keeps the log buffer capacity
-    }
-    if (service_[i] == nullptr) {
-      service_[i] = std::make_unique<ServiceQueue>(*sim_);
-    } else {
-      service_[i]->reset_for_trial();
-    }
-    service_[i]->configure_group(group_model());
   }
 
   for (std::size_t i = 0; i < cfg_.servers; ++i) {
+    storages_[i]->reset_for_trial();  // keeps the log buffer capacity
+    service_[i]->reset_for_trial();
     if (nodes_[i] != nullptr) {
       // In-place path: fresh state machine, node rewound to construction
       // state with the same RNG derivation the constructor would use.
@@ -265,11 +168,8 @@ std::size_t Cluster::index_of(NodeId id) const {
 }
 
 void Cluster::arm_injector(std::size_t idx) {
-  if (!cfg_.fault) return;
   if (injectors_.size() <= idx) injectors_.resize(idx + 1);
-  if (injectors_[idx] == nullptr || !(injectors_[idx]->config() == *cfg_.fault)) {
-    injectors_[idx] = std::make_unique<fault::Injector>(*cfg_.fault);
-  }
+  if (injectors_[idx] == nullptr) injectors_[idx] = std::make_unique<fault::Injector>(*cfg_.fault);
   injectors_[idx]->arm(derive_seed(cfg_.seed, 0xFA017 + static_cast<std::uint64_t>(idx)));
 }
 
@@ -478,9 +378,7 @@ NodeId Cluster::add_server(bool as_learner) {
   storages_.push_back(std::make_shared<raft::MemoryStorage>());
   state_machines_.emplace_back();
   nodes_.emplace_back();
-  auto queue = std::make_unique<ServiceQueue>(*sim_);
-  queue->configure_group(group_model());
-  service_.push_back(std::move(queue));
+  service_.push_back(std::make_unique<ServiceQueue>(*sim_, group_model()));
   if (cfg_.fault) arm_injector(idx);
   build_node(id, as_learner);
   return id;

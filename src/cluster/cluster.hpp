@@ -87,8 +87,7 @@ struct ClusterConfig {
   /// owner (shard::ShardedCluster) holds the network's rng/default schedule
   /// and drives the per-trial substrate reset via the reset_begin/
   /// reset_finish protocol below; this cluster only builds and resets its
-  /// own nodes. Both pointers are fixed at construction — a later
-  /// reset(config) must carry the same wiring.
+  /// own nodes.
   sim::Simulator* shared_sim = nullptr;
   net::Network* shared_net = nullptr;
   NodeId node_base = 0;
@@ -101,25 +100,18 @@ class Cluster {
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
 
-  /// Rebuild-in-place for a new trial: observationally identical to
-  /// destroying this cluster and constructing a fresh one from `config`, but
-  /// reusing the warmed allocations — the simulator's event containers, the
-  /// network's n*n link tile / in-flight arena / handler closures, the
-  /// per-server storage buffers and service queues. Node objects are rebuilt
-  /// (a trial starts from a cold deployment), everything beneath them is
-  /// reset, not reallocated — except the network when `config.servers`
-  /// differs from the current size: the tile size is fixed for a network's
-  /// lifetime, so that reset builds a new one, and a `network()` reference
-  /// taken before it does not survive it. Fresh-construction equivalence is
+  /// A new trial of the same deployment under `seed`: observationally
+  /// identical to destroying this cluster and constructing a fresh one from
+  /// config() with that seed, but reusing the warmed allocations — the
+  /// simulator's event containers, the network's link tile / in-flight
+  /// arena / handler closures, the per-server storage buffers, service
+  /// queues and node objects. A node is rebuilt only when its policy cannot
+  /// rewind itself (ElectionPolicy::resettable_for_trial); every other layer
+  /// is reset, not reallocated. A different config is a different
+  /// deployment: construct a new Cluster. Fresh-construction equivalence is
   /// the reset contract pinned by tests/test_trial_reuse.cpp; external
-  /// observers in `config.observers` see consecutive trials and must cope on
-  /// their own.
-  void reset(ClusterConfig config);
-
-  /// Seed-only fast path: identical to reset(config) where only
-  /// `config.seed` differs from the current one. Skips re-copying the link
-  /// schedule / transport config into the network (one allocation-heavy copy
-  /// per trial on a 10k-trial sweep).
+  /// observers in `config().observers` see consecutive trials and must cope
+  /// on their own.
   void reset(std::uint64_t seed);
 
   /// Shared-substrate reset protocol (shard::ShardedCluster). reset() is
@@ -130,10 +122,7 @@ class Cluster {
   /// objects against the *old* simulator state (their timer destructors must
   /// not run after the simulator reset — a stale (slot, generation) could
   /// alias a fresh event), and reset_finish rebuilds them against the fresh
-  /// one. In shared mode node_base/servers must not change across an
-  /// in-place reset (network handlers capture the id→group mapping); a
-  /// geometry change requires rebuilding the owner's Network outright.
-  void reset_begin(ClusterConfig config);
+  /// one.
   void reset_begin(std::uint64_t seed);
   void reset_finish();
 
@@ -219,9 +208,6 @@ class Cluster {
 
  private:
   void build_node(NodeId id, bool as_learner = false);
-  void teardown_nodes();
-  void build_owned_network();
-  void reset_substrate();
   void arm_injector(std::size_t idx);
   [[nodiscard]] bool owns_substrate() const noexcept { return owned_sim_ != nullptr; }
   [[nodiscard]] std::size_t index_of(NodeId id) const;
@@ -234,7 +220,6 @@ class Cluster {
   std::unique_ptr<net::Network> owned_net_;
   sim::Simulator* sim_ = nullptr;
   net::Network* net_ = nullptr;
-  bool pending_reconfigure_ = false;  ///< set by reset_begin, read by reset_finish
   Probe probe_;
   raft::InvariantChecker checker_;
   std::unique_ptr<PerfModel> perf_;

@@ -92,6 +92,10 @@ class PerfModel final : public raft::Observer {
 
   [[nodiscard]] const CostModel& cost() const noexcept { return cost_; }
 
+  /// Forget every charge (trial reuse: the next trial starts from a model
+  /// indistinguishable from a fresh one).
+  void clear() noexcept { busy_.clear(); }
+
  private:
   [[nodiscard]] std::size_t bin_index(TimePoint t) const {
     return static_cast<std::size_t>(t.time_since_epoch().count() / bin_.count());

@@ -91,15 +91,6 @@ class Probe final : public raft::Observer {
     return n;
   }
 
-  /// Number of leaderships established in [a, b).
-  [[nodiscard]] std::size_t leaders_established_in(TimePoint a, TimePoint b) const {
-    std::size_t n = 0;
-    for (const auto& e : leaders_) {
-      if (e.when >= a && e.when < b) ++n;
-    }
-    return n;
-  }
-
   /// Forget everything, clock offsets included (trial reuse: the next trial
   /// starts from a probe indistinguishable from a fresh one). Event-vector
   /// capacity survives.

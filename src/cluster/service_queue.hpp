@@ -41,7 +41,13 @@ struct GroupCostModel {
 
 class ServiceQueue {
  public:
-  explicit ServiceQueue(sim::Simulator& simulator) : sim_(&simulator) {}
+  /// `group` is the grouped cost model enqueue_command() charges; it is
+  /// fixed for the queue's lifetime.
+  explicit ServiceQueue(sim::Simulator& simulator, GroupCostModel group = {})
+      : sim_(&simulator), group_(group) {
+    DYNA_EXPECTS(group.per_round >= Duration{0} && group.per_command >= Duration{0});
+    DYNA_EXPECTS(group.max_commands >= 1);
+  }
 
   /// Admit one job; `done` fires when its service completes.
   void enqueue(Duration service_time, std::function<void()> done) {
@@ -54,16 +60,6 @@ class ServiceQueue {
       done();
     });
   }
-
-  /// Install (or replace) the grouped cost model. Takes effect for commands
-  /// admitted afterwards; typically set once at cluster build time.
-  void configure_group(GroupCostModel model) {
-    DYNA_EXPECTS(model.per_round >= Duration{0} && model.per_command >= Duration{0});
-    DYNA_EXPECTS(model.max_commands >= 1);
-    group_ = model;
-  }
-
-  [[nodiscard]] const GroupCostModel& group_model() const noexcept { return group_; }
 
   /// Admit one client command under the grouped cost model; `done` fires when
   /// the round serving it completes. Commands pending when a round starts are

@@ -94,8 +94,6 @@ struct InjectorConfig {
   std::size_t max_fires = 1;
   /// Delay before the cluster restarts a node felled by a firing.
   Duration restart_delay = std::chrono::seconds(2);
-
-  friend bool operator==(const InjectorConfig&, const InjectorConfig&) = default;
 };
 
 /// One firing: which point fired at which enabled-visit ordinal.
@@ -148,7 +146,6 @@ class Injector {
     return fire;
   }
 
-  [[nodiscard]] const InjectorConfig& config() const noexcept { return cfg_; }
   [[nodiscard]] std::uint64_t visits() const noexcept { return visits_; }
   [[nodiscard]] std::size_t fired() const noexcept { return fired_; }
   [[nodiscard]] const std::vector<Firing>& firings() const noexcept { return firings_; }

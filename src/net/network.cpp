@@ -74,9 +74,9 @@ void Network::hard_reset_links() {
 void Network::reset_for_trial(Rng rng, std::size_t node_count) {
   DYNA_EXPECTS(node_count >= 1);
   // A tiled table's geometry is fixed for the Network's lifetime: handlers
-  // installed on it capture the id->group stride, so a geometry change must
-  // rebuild the Network (Cluster and ShardedCluster resets do exactly that).
-  // Resetting back to the tiled region drops client endpoints.
+  // installed on it capture the id->group stride, so a different geometry
+  // is a different deployment with a Network of its own. Resetting back to
+  // the tiled region drops client endpoints.
   DYNA_EXPECTS(group_count_ == 0 || node_count == group_count_ * group_size_);
   rng_ = std::move(rng);
   nodes_.resize(node_count);

@@ -130,15 +130,11 @@ class Network {
 
   /// Give the link table `groups` tiles of `group_size` x `group_size`,
   /// covering node ids [0, groups*group_size). Must be called before any
-  /// node is added; the geometry is fixed for the network's lifetime (a
-  /// geometry change rebuilds the Network — installed handlers capture the
-  /// id→group mapping anyway, see shard::ShardedCluster). Nodes added beyond
-  /// the tiled region (client endpoints) take the sparse cross-pair path;
-  /// without this call every pair does.
+  /// node is added; the geometry is fixed for the network's lifetime — a
+  /// different geometry is a different deployment, with a Network of its
+  /// own. Nodes added beyond the tiled region (client endpoints) take the
+  /// sparse cross-pair path; without this call every pair does.
   void configure_groups(std::size_t group_size, std::size_t groups);
-
-  /// Tile edge (0 when untiled).
-  [[nodiscard]] std::size_t group_size() const noexcept { return group_size_; }
 
   /// Register a node; returns its id. Handlers may be set/replaced later
   /// (nodes are constructed after the network exists).
@@ -170,21 +166,14 @@ class Network {
   /// logically cleared. Link state is cleared *lazily*: the trial epoch is
   /// bumped and each Link rewinds on its first touch of the new trial, so
   /// the reset itself is O(nodes + touched cross-pairs) — it never walks the
-  /// tile storage. Node handlers are configuration, not trial state, and
-  /// survive for the node indices that survive. On a tiled network
-  /// `node_count` must equal groups*group_size: the reset drops the
-  /// endpoints beyond the tiles, and a geometry change rebuilds the Network.
-  /// An untiled network resizes to any `node_count`. The reset
+  /// tile storage. Node handlers, the transport config and the default
+  /// schedule are configuration, not trial state: they survive, handlers
+  /// for the node indices that survive. On a tiled network `node_count`
+  /// must equal groups*group_size: the reset drops the endpoints beyond the
+  /// tiles. An untiled network resizes to any `node_count`. The reset
   /// contract (fresh-construction equivalence) is pinned by
   /// tests/test_trial_reuse.cpp and tests/test_net_equivalence.cpp.
   void reset_for_trial(Rng rng, std::size_t node_count);
-
-  /// Same, additionally replacing the transport config (sweeps whose cells
-  /// vary retransmit/stall/turbulence knobs).
-  void reset_for_trial(Rng rng, std::size_t node_count, Config config) {
-    config_ = config;
-    reset_for_trial(std::move(rng), node_count);
-  }
 
   /// Default schedule for every link without a specific override.
   void set_default_schedule(ConditionSchedule schedule) {

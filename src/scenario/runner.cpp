@@ -19,24 +19,23 @@ namespace {
 
 // ---- Spec -> ClusterConfig --------------------------------------------------------
 
-cluster::ClusterConfig build_config(const ScenarioSpec& spec, std::size_t servers,
-                                    std::uint64_t seed) {
+cluster::ClusterConfig build_config(const ScenarioSpec& spec) {
   cluster::ClusterConfig cfg;
   if (spec.config_factory) {
-    cfg = spec.config_factory(servers, seed);
+    cfg = spec.config_factory(spec.servers, spec.seed);
   } else {
     switch (spec.variant) {
       case Variant::Raft:
-        cfg = cluster::make_raft_config(servers, seed);
+        cfg = cluster::make_raft_config(spec.servers, spec.seed);
         break;
       case Variant::RaftLow:
-        cfg = cluster::make_raft_low_config(servers, seed);
+        cfg = cluster::make_raft_low_config(spec.servers, spec.seed);
         break;
       case Variant::Dynatune:
-        cfg = cluster::make_dynatune_config(servers, seed, spec.dynatune);
+        cfg = cluster::make_dynatune_config(spec.servers, spec.seed, spec.dynatune);
         break;
       case Variant::FixK:
-        cfg = cluster::make_fixk_config(servers, seed, spec.fix_k, spec.dynatune);
+        cfg = cluster::make_fixk_config(spec.servers, spec.seed, spec.fix_k, spec.dynatune);
         break;
     }
   }
@@ -55,14 +54,6 @@ cluster::ClusterConfig build_config(const ScenarioSpec& spec, std::size_t server
   cfg.perf_bin = spec.perf_bin;
   cfg.fault = spec.faults.crash_points;
   if (cfg.fault) cfg.durable_log = true;  // felled nodes must be able to recover
-  return cfg;
-}
-
-shard::ShardedConfig build_sharded_config(const ScenarioSpec& spec) {
-  shard::ShardedConfig cfg;
-  cfg.shards = spec.shards;
-  cfg.partition = spec.partition_mode;
-  cfg.group = build_config(spec, spec.servers, spec.seed);
   return cfg;
 }
 
@@ -503,7 +494,7 @@ ScenarioResult run_deployment(const shard::DeploymentView& d, const ScenarioSpec
 }  // namespace
 
 std::unique_ptr<cluster::Cluster> ScenarioRunner::materialize(const ScenarioSpec& spec) {
-  auto c = std::make_unique<cluster::Cluster>(build_config(spec, spec.servers, spec.seed));
+  auto c = std::make_unique<cluster::Cluster>(build_config(spec));
   apply_topology(*c, spec);
   return c;
 }
@@ -511,7 +502,8 @@ std::unique_ptr<cluster::Cluster> ScenarioRunner::materialize(const ScenarioSpec
 std::unique_ptr<shard::ShardedCluster> ScenarioRunner::materialize_sharded(
     const ScenarioSpec& spec) {
   DYNA_EXPECTS(spec.shards >= 1);
-  auto sc = std::make_unique<shard::ShardedCluster>(build_sharded_config(spec));
+  auto sc = std::make_unique<shard::ShardedCluster>(shard::ShardedConfig{
+      .shards = spec.shards, .partition = spec.partition_mode, .group = build_config(spec)});
   apply_topology(*sc, spec);
   return sc;
 }
@@ -579,10 +571,10 @@ SweepPlan plan_sweep(const SweepSpec& sweep) {
 }
 
 /// Worker-local trial execution: every worker owns one spec value and one
-/// simulation substrate, rebuilt only at cell boundaries and reset-in-place
+/// simulation substrate, built at cell boundaries and reset to the next seed
 /// between same-cell trials. The reset contract makes this invisible in the
 /// results (tests/test_trial_reuse.cpp); reuse_substrate=false falls back to
-/// one fresh Cluster per trial for exactly that comparison.
+/// one fresh deployment per trial for exactly that comparison.
 class SweepExecutor {
  public:
   SweepExecutor(const SweepSpec& sweep, const SweepPlan& plan)
@@ -609,19 +601,14 @@ class SweepExecutor {
     slot.spec.seed = seed;
     if (sweep_->mutate) sweep_->mutate(slot.spec, index, seed);
 
-    if (!sweep_->reuse_substrate) {
-      // Fresh construction every trial: the reference the reset contract
-      // is pinned against.
-      slot.cluster.reset();
-      slot.sharded.reset();
-    }
-    // The seed-only fast path may skip recompiling the config ONLY when
-    // the config is a pure function of (variant, size): a config_factory
-    // receives the trial seed and may legitimately vary with it, so it
-    // recompiles (and rebuilds nodes) every trial.
-    const bool recompile =
-        new_cell || slot.spec.config_factory != nullptr || sweep_->mutate != nullptr;
-    return run_deployment(slot.deploy(recompile), slot.spec);
+    // A reset changes only the seed, so any other config change is a new
+    // deployment: a new cell, a config_factory (it receives the trial seed
+    // and may vary with it) and a mutate hook all build fresh. So does
+    // reuse_substrate=false, the reference the reset contract is pinned
+    // against.
+    const bool fresh = !sweep_->reuse_substrate || new_cell ||
+                       slot.spec.config_factory != nullptr || sweep_->mutate != nullptr;
+    return run_deployment(slot.deploy(fresh), slot.spec);
   }
 
  private:
@@ -631,35 +618,31 @@ class SweepExecutor {
     std::unique_ptr<cluster::Cluster> cluster;
     std::unique_ptr<shard::ShardedCluster> sharded;
 
-    /// Materialize the spec's deployment on first use, else reset it in
-    /// place (full config or seed only) and re-apply the per-pair topology
-    /// the reset cleared. The trial's one branch on deployment kind.
-    shard::DeploymentView deploy(bool recompile) {
-      if (spec.shards > 1) {
+    /// Materialize the spec's deployment (`fresh`), else reset the current
+    /// one to the spec's seed and re-apply the per-pair topology the reset
+    /// cleared. The trial's one branch on deployment kind.
+    shard::DeploymentView deploy(bool fresh) {
+      if (fresh) {
+        // The old substrate dies before the new one is built, so a
+        // kilo-node geometry never holds two at once.
         cluster.reset();
+        sharded.reset();
+      }
+      if (spec.shards > 1) {
         if (sharded == nullptr) {
           sharded = ScenarioRunner::materialize_sharded(spec);
-          return *sharded;
-        }
-        if (recompile) {
-          sharded->reset(build_sharded_config(spec));
         } else {
           sharded->reset(spec.seed);
+          apply_topology(*sharded, spec);
         }
-        apply_topology(*sharded, spec);
         return *sharded;
       }
-      sharded.reset();
       if (cluster == nullptr) {
         cluster = ScenarioRunner::materialize(spec);
-        return *cluster;
-      }
-      if (recompile) {
-        cluster->reset(build_config(spec, spec.servers, spec.seed));
       } else {
         cluster->reset(spec.seed);
+        apply_topology(*cluster, spec);
       }
-      apply_topology(*cluster, spec);
       return *cluster;
     }
   };

@@ -70,8 +70,9 @@ class ScenarioRunner {
   /// Execute the sweep's cross product (variant-major, then size, then seed
   /// index) in parallel.
   /// Results are in enumeration order and independent of `sweep.threads` and
-  /// `sweep.reuse_substrate`. Each worker runs its trials on one reused
-  /// simulation substrate (see Cluster::reset) unless the spec opts out.
+  /// `sweep.reuse_substrate`. Each worker runs a cell's trials on one reused
+  /// simulation substrate (see Cluster::reset) unless the spec opts out; a
+  /// new cell, a config_factory or a mutate hook builds a fresh deployment.
   [[nodiscard]] static std::vector<ScenarioResult> run_sweep(const SweepSpec& sweep);
 
   /// Same sweep, but stream every ScenarioResult into `sink` (in enumeration

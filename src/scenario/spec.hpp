@@ -406,20 +406,22 @@ struct SweepSpec {
   std::uint64_t master_seed = 0;
   /// Worker threads for par::run_trials; 0 => hardware concurrency.
   unsigned threads = 0;
-  /// Run each worker's trials on one reused simulation substrate (warm
-  /// allocations, Cluster::reset between trials) instead of constructing a
-  /// fresh Cluster per trial. Results are bit-identical either way — that is
-  /// the reset contract (tests/test_trial_reuse.cpp); this knob exists for
-  /// that very comparison and for bisecting suspected reset leaks.
+  /// Run each worker's same-cell trials on one reused simulation substrate
+  /// (warm allocations, reset(seed) between trials) instead of constructing
+  /// a fresh deployment per trial. A reset changes only the seed, so a trial
+  /// whose config may differ from its predecessor's — the first of a cell,
+  /// every trial of a config_factory or mutate sweep — is built fresh
+  /// regardless. Results are bit-identical either way — that is the reset
+  /// contract (tests/test_trial_reuse.cpp); this knob exists for that very
+  /// comparison and for bisecting suspected reset leaks.
   bool reuse_substrate = true;
 
   /// Per-trial spec mutation, applied after the cell axes and trial seed are
   /// assigned: mutate(spec, trial_index, trial_seed). This is the fuzz-soak
   /// hook — a harness derives a different fault schedule per trial from the
   /// trial seed while keeping enumeration order (and thus thread-count
-  /// determinism) intact. Presence forces the full-config reset path: the
-  /// spec is no longer constant within a cell, so the seed-only fast path
-  /// must not skip recompiling it.
+  /// determinism) intact. The spec is no longer constant within a cell, so
+  /// every trial builds a fresh deployment.
   std::function<void(ScenarioSpec&, std::size_t, std::uint64_t)> mutate;
 };
 

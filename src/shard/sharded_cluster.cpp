@@ -9,20 +9,7 @@ ShardedCluster::ShardedCluster(ShardedConfig config) : cfg_(std::move(config)) {
   DYNA_EXPECTS(cfg_.group.servers >= 1);
   DYNA_EXPECTS(cfg_.group.shared_sim == nullptr && cfg_.group.shared_net == nullptr);
   DYNA_EXPECTS(cfg_.group.node_base == 0);
-  build_network();
-  build_groups();
-}
 
-cluster::ClusterConfig ShardedCluster::group_config(std::size_t g) {
-  cluster::ClusterConfig c = cfg_.group;
-  c.seed = group_seed(cfg_.group.seed, g);
-  c.shared_sim = &sim_;
-  c.shared_net = net_.get();
-  c.node_base = static_cast<NodeId>(g * cfg_.group.servers);
-  return c;
-}
-
-void ShardedCluster::build_network() {
   // Same rng stream derivation as a standalone Cluster: the network draws
   // jitter from fork(1) of the master seed. One shared stream for every
   // group — link-level randomness couples the groups by construction.
@@ -35,11 +22,8 @@ void ShardedCluster::build_network() {
   // the layout.
   net_->configure_groups(cfg_.group.servers, cfg_.shards);
   net_->set_default_schedule(cfg_.group.links);
-}
 
-void ShardedCluster::build_groups() {
   groups_.reserve(cfg_.shards);
-  members_.clear();
   for (std::size_t g = 0; g < cfg_.shards; ++g) {
     // Construction order is the id-assignment order: group g's ctor calls
     // add_node() exactly `servers` times, landing on its node_base slice.
@@ -48,38 +32,17 @@ void ShardedCluster::build_groups() {
   }
 }
 
-void ShardedCluster::reset(ShardedConfig config) {
-  const bool regeometry = config.shards != groups_.size() ||
-                          config.group.servers != cfg_.group.servers;
-  cfg_ = std::move(config);
-  DYNA_EXPECTS(cfg_.shards >= 1);
-  DYNA_EXPECTS(cfg_.group.servers >= 1);
-  DYNA_EXPECTS(cfg_.group.shared_sim == nullptr && cfg_.group.shared_net == nullptr);
-  DYNA_EXPECTS(cfg_.group.node_base == 0);
-
-  if (regeometry) {
-    // Different shard count or group size: installed network handlers
-    // capture the old id→group mapping, so rebuild the network outright.
-    // Groups die first, against the still-live simulator.
-    groups_.clear();
-    sim_.reset();
-    build_network();
-    build_groups();
-    return;
-  }
-
-  // In-place path: three phases, substrate reset exactly once in the middle.
-  for (std::size_t g = 0; g < groups_.size(); ++g) {
-    groups_[g]->reset_begin(group_config(g));
-  }
-  sim_.reset();
-  Rng master(cfg_.group.seed);
-  net_->reset_for_trial(master.fork(1), total_servers(), cfg_.group.transport);
-  net_->set_default_schedule(cfg_.group.links);
-  for (auto& g : groups_) g->reset_finish();
+cluster::ClusterConfig ShardedCluster::group_config(std::size_t g) {
+  cluster::ClusterConfig c = cfg_.group;
+  c.seed = group_seed(cfg_.group.seed, g);
+  c.shared_sim = &sim_;
+  c.shared_net = net_.get();
+  c.node_base = static_cast<NodeId>(g * cfg_.group.servers);
+  return c;
 }
 
 void ShardedCluster::reset(std::uint64_t seed) {
+  // Three phases, substrate reset exactly once in the middle.
   cfg_.group.seed = seed;
   for (std::size_t g = 0; g < groups_.size(); ++g) {
     groups_[g]->reset_begin(group_seed(seed, g));

@@ -11,14 +11,15 @@
 // seed in fixed group order, so a run is a pure function of (config, seed)
 // exactly like a single cluster.
 //
-// Reset contract: reset-in-place per trial, same as Cluster (fresh ==
-// reused, pinned by tests). The three-phase protocol matters — every
-// group's reset_begin runs first (node teardown against the OLD simulator),
-// then the shared Simulator/Network reset exactly once, then every group's
-// reset_finish (rebuild against the fresh substrate). A geometry change
-// (different shards or servers-per-group) rebuilds the Network outright:
-// installed handlers capture the id→group mapping, which resizing the
-// tiles in place would silently invalidate.
+// Reset contract: reset(seed) per trial, same as Cluster (fresh == reused,
+// pinned by tests). The three-phase protocol matters — every group's
+// reset_begin runs first (node teardown against the OLD simulator), then
+// the shared Simulator/Network reset exactly once, then every group's
+// reset_finish (rebuild against the fresh substrate). A different config —
+// a new geometry (shards or servers-per-group) included — is a different
+// deployment: construct a new ShardedCluster. Installed handlers capture
+// the id→group mapping, which resizing the tiles in place would silently
+// invalidate.
 #pragma once
 
 #include <memory>
@@ -48,11 +49,9 @@ class ShardedCluster {
   ShardedCluster(const ShardedCluster&) = delete;
   ShardedCluster& operator=(const ShardedCluster&) = delete;
 
-  /// Rebuild-in-place for a new trial; observationally identical to a fresh
-  /// ShardedCluster(config). Geometry changes take the network-rebuild path.
-  void reset(ShardedConfig config);
-
-  /// Seed-only fast path, mirroring Cluster::reset(seed).
+  /// A new trial of the same deployment under master seed `seed`;
+  /// observationally identical to a fresh ShardedCluster built from
+  /// config() with that seed. Mirrors Cluster::reset(seed).
   void reset(std::uint64_t seed);
 
   // ---- Accessors ----
@@ -92,8 +91,6 @@ class ShardedCluster {
 
  private:
   [[nodiscard]] cluster::ClusterConfig group_config(std::size_t g);
-  void build_network();
-  void build_groups();
 
   ShardedConfig cfg_;
   // Declaration order is destruction order in reverse: groups_ dies first

@@ -106,8 +106,7 @@ TEST(BatchFrame, BatchApplyEqualsSequentialApply) {
 
 TEST(ServiceQueueGrouped, PendingCommandsShareOneRound) {
   sim::Simulator sim;
-  cluster::ServiceQueue q(sim);
-  q.configure_group({2ms, 100us, 8, true});
+  cluster::ServiceQueue q(sim, {2ms, 100us, 8, true});
 
   std::vector<double> done_ms;
   for (int i = 0; i < 8; ++i) {
@@ -125,8 +124,7 @@ TEST(ServiceQueueGrouped, PendingCommandsShareOneRound) {
 
 TEST(ServiceQueueGrouped, RoundSizeCapSplitsTheBacklog) {
   sim::Simulator sim;
-  cluster::ServiceQueue q(sim);
-  q.configure_group({1ms, 100us, 4, true});
+  cluster::ServiceQueue q(sim, {1ms, 100us, 4, true});
 
   std::vector<double> done_ms;
   for (int i = 0; i < 6; ++i) {
@@ -143,8 +141,7 @@ TEST(ServiceQueueGrouped, RoundSizeCapSplitsTheBacklog) {
 
 TEST(ServiceQueueGrouped, UnbatchedBaselinePaysARoundPerCommand) {
   sim::Simulator sim;
-  cluster::ServiceQueue q(sim);
-  q.configure_group({2ms, 100us, 8, false});  // coalesce off
+  cluster::ServiceQueue q(sim, {2ms, 100us, 8, false});  // coalesce off
 
   std::vector<double> done_ms;
   for (int i = 0; i < 3; ++i) {

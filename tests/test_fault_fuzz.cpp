@@ -2,9 +2,12 @@
 // points x symmetric/asymmetric partitions x rolling restarts x membership
 // churn x log compaction, with the invariant checker on everywhere. Each
 // schedule is a pure function of its trial seed (SweepSpec::mutate), so the
-// soak is bit-identical across thread counts and fresh/reused substrates —
-// and any surviving violation is replayable from (master_seed, seed index)
-// alone.
+// soak is bit-identical across thread counts and both settings of
+// reuse_substrate — and any surviving violation is replayable from
+// (master_seed, seed index) alone. Under a mutate hook the reuse flag
+// selects fresh construction either way (the spec changes every trial); the
+// seed reset under each fault class is pinned by
+// SweepReuse.EveryFaultClassSeedResetMatchesFresh.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -140,6 +143,8 @@ TEST(FaultFuzz, SoakOf200SchedulesHoldsEveryInvariant) {
 }
 
 TEST(FaultFuzz, CrossOfThreadsAndSubstrateReuseIsBitIdentical) {
+  // With a mutate hook both reuse settings build every trial fresh; the
+  // axis pins that the flag changes nothing.
   const auto baseline = scenario::ScenarioRunner::run_sweep(soak_sweep(24, 1, false));
   ASSERT_EQ(baseline.size(), 24u);
   for (const unsigned threads : {1u, 2u, 8u}) {

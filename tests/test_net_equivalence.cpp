@@ -675,8 +675,8 @@ TEST(BlockDiagonalLayout, EpochWrapHardClearsStaleStamps) {
 
 TEST(BlockDiagonalLayout, GroupedResetRequiresTiledGeometry) {
   // In grouped mode the tiled geometry is fixed for the network's lifetime;
-  // a reset to any other node count is a geometry change, which must rebuild
-  // the Network (ShardedCluster::reset does) — the precondition aborts.
+  // a reset to any other node count is a geometry change, which is a new
+  // deployment with a Network of its own — the precondition aborts.
   ASSERT_DEATH(
       {
         sim::Simulator sim;

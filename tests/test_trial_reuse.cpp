@@ -10,14 +10,18 @@
 //     pauses with parked messages and in-flight deliveries replays a
 //     deterministic script identically to a fresh network after
 //     reset_for_trial (delivery trace, traffic counters, FIFO watermarks);
-//   * Cluster / sweep — the same sweep produces byte-identical
-//     ScenarioResult vectors via (a) fresh construction per trial and
-//     (b) reused substrates, across thread counts 1/2/8, with policies both
-//     resettable (Static/Dynatune) and not (custom factory fallback).
+//   * Cluster / sweep — a seed reset matches fresh construction (a node
+//     whose policy cannot rewind itself is rebuilt), and the same sweep
+//     produces byte-identical ScenarioResult vectors via (a) fresh
+//     construction per trial and (b) reused substrates, across thread
+//     counts 1/2/8, with the perf model on, under every fault class, and
+//     for config_factory sweeps (which build every trial fresh).
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "scenario/runner.hpp"
@@ -253,29 +257,43 @@ TEST(ClusterReset, SeedResetMatchesFreshConstruction) {
   EXPECT_EQ(fresh, reused);
 }
 
-TEST(ClusterReset, ReconfigureAcrossSizesAndVariantsMatchesFresh) {
-  // Trial 1: Dynatune n=5. Trial 2 reuses the same substrate as Raft n=3.
-  const scenario::ScenarioSpec first = reuse_spec(3);
-  scenario::ScenarioSpec second = reuse_spec(4);
-  second.variant = scenario::Variant::Raft;
-  second.servers = 3;
+/// A policy the harness cannot rewind (ElectionPolicy's default answer).
+class OpaquePolicy final : public raft::ElectionPolicy {
+ public:
+  [[nodiscard]] Duration election_timeout() const override { return 700ms; }
+  [[nodiscard]] Duration heartbeat_interval(NodeId /*follower*/) const override {
+    return 100ms;
+  }
+};
+
+TEST(ClusterReset, NonResettablePolicyNodesRebuildAndMatchFresh) {
+  // The one teardown a seed reset keeps: a node whose policy cannot rewind
+  // itself is destroyed before the substrate reset and rebuilt after it.
+  scenario::ScenarioSpec first = reuse_spec(61);
+  first.config_factory = [](std::size_t servers, std::uint64_t seed) {
+    cluster::ClusterConfig cfg = cluster::make_raft_config(servers, seed);
+    cfg.policy_factory = [](NodeId) { return std::make_unique<OpaquePolicy>(); };
+    cfg.name = "opaque";
+    return cfg;
+  };
+  scenario::ScenarioSpec second = first;
+  second.seed = 62;
 
   auto c = scenario::ScenarioRunner::materialize(first);
   (void)scenario::ScenarioRunner::run_on(*c, first);
-  cluster::ClusterConfig cfg = cluster::make_raft_config(3, second.seed);
-  cfg.links = constant_link(60ms, 2ms, 0.01);  // the spec's topology layer
-  c->reset(std::move(cfg));
+  c->reset(second.seed);
   const scenario::ScenarioResult reused = scenario::ScenarioRunner::run_on(*c, second);
 
   const scenario::ScenarioResult fresh = scenario::ScenarioRunner::run(second);
   EXPECT_EQ(fresh, reused);
+  EXPECT_EQ(reused.variant, "opaque");
 }
 
-scenario::ScenarioSpec growing_spec(std::uint64_t seed, std::size_t servers) {
+scenario::ScenarioSpec client_partition_spec(std::uint64_t seed) {
   scenario::ScenarioSpec spec;
-  spec.name = "reuse-grow";
+  spec.name = "reuse-client";
   spec.variant = scenario::Variant::Dynatune;
-  spec.servers = servers;
+  spec.servers = 7;
   spec.seed = seed;
   spec.topology = scenario::TopologySpec::constant(40ms, 2ms, 0.01);
   wl::RampConfig ramp;
@@ -289,19 +307,17 @@ scenario::ScenarioSpec growing_spec(std::uint64_t seed, std::size_t servers) {
   return spec;
 }
 
-TEST(ClusterReset, GrowingServerCountRebuildsNetworkAndMatchesFresh) {
-  // 3 -> 7 servers: the owned network's one tile changes size, so the
-  // reset builds a new network. The second trial's client and partition
-  // window then run on it, the client's pairs on the sparse path.
-  const scenario::ScenarioSpec first = growing_spec(51, 3);
-  const scenario::ScenarioSpec second = growing_spec(52, 7);
+TEST(ClusterReset, SeedResetWithClientAndPartitionMatchesFresh) {
+  // A reused 7-server cluster whose trials each add a client endpoint: the
+  // reset drops the first trial's client and the cross pairs it promoted,
+  // and the second trial's client pairs take the sparse path again, under
+  // a partition window that cuts servers 0 and 1 off from everyone.
+  const scenario::ScenarioSpec first = client_partition_spec(51);
+  const scenario::ScenarioSpec second = client_partition_spec(52);
 
   auto c = scenario::ScenarioRunner::materialize(first);
   (void)scenario::ScenarioRunner::run_on(*c, first);
-  cluster::ClusterConfig cfg = cluster::make_dynatune_config(7, second.seed);
-  cfg.links = constant_link(40ms, 2ms, 0.01);  // the spec's topology layer
-  c->reset(std::move(cfg));
-  EXPECT_EQ(c->network().group_size(), 7u);
+  c->reset(second.seed);
   const scenario::ScenarioResult reused = scenario::ScenarioRunner::run_on(*c, second);
 
   const scenario::ScenarioResult fresh = scenario::ScenarioRunner::run(second);
@@ -382,8 +398,9 @@ TEST(SweepReuse, FreshAndReusedAreByteIdenticalAcrossThreadCounts) {
 }
 
 TEST(SweepReuse, NonResettableCustomPolicyFallsBackAndStaysExact) {
-  // A config_factory policy is opaque to the harness (not resettable), so
-  // reuse must rebuild nodes per trial — and still match fresh exactly.
+  // A config_factory is opaque to the harness, so a reuse sweep builds
+  // every trial of it as a fresh deployment — and still matches the fresh
+  // sweep exactly.
   scenario::SweepSpec sweep = isolation_sweep();
   sweep.variants.clear();
   sweep.sizes = {3};
@@ -406,9 +423,9 @@ TEST(SweepReuse, NonResettableCustomPolicyFallsBackAndStaysExact) {
 }
 
 TEST(SweepReuse, SeedDependentConfigFactoryRecompilesEveryTrial) {
-  // A config_factory may legitimately vary with the trial seed, so the
-  // reuse path must recompile the config per trial — the seed-only fast
-  // path would silently pin every trial of a cell to the first seed's
+  // A config_factory may legitimately vary with the trial seed, so a reuse
+  // sweep builds every trial fresh from the recompiled config — a seed
+  // reset would silently pin every trial of a cell to the first seed's
   // config.
   scenario::SweepSpec sweep = isolation_sweep();
   sweep.variants.clear();
@@ -432,6 +449,93 @@ TEST(SweepReuse, SeedDependentConfigFactoryRecompilesEveryTrial) {
   }
 }
 
+TEST(SweepReuse, PerfModelledSeedResetMatchesFresh) {
+  // The perf model clears in place, so a perf-modelled cluster keeps its
+  // nodes (and their observer pointer) across a seed reset; its CPU
+  // samples must still match fresh construction.
+  scenario::SweepSpec sweep;
+  sweep.base = reuse_spec(0);
+  sweep.base.perf_cost = cluster::CostModel{};
+  sweep.base.perf_bin = 1s;
+  sweep.seeds = 4;
+  sweep.master_seed = 4321;
+  sweep.threads = 1;
+
+  sweep.reuse_substrate = false;
+  const auto fresh = scenario::ScenarioRunner::run_sweep(sweep);
+  sweep.reuse_substrate = true;
+  const auto reused = scenario::ScenarioRunner::run_sweep(sweep);
+  ASSERT_EQ(fresh.size(), 4u);
+  EXPECT_EQ(fresh, reused);
+  bool charged = false;
+  for (const auto& r : reused) {
+    for (const auto& p : r.samples) charged = charged || p.leader_cpu_pct > 0.0;
+  }
+  EXPECT_TRUE(charged) << "no reused sample saw leader CPU";
+}
+
+TEST(SweepReuse, EveryFaultClassSeedResetMatchesFresh) {
+  // A mutate sweep builds every trial fresh, so the seed reset is pinned
+  // under each fault class here, one fixed plan per sweep: crashed,
+  // restarted, partitioned and churned nodes must not leak into the next
+  // trial. Churn grows and shrinks the roster; the founding nodes then
+  // rewind in place.
+  scenario::FaultPlan::DirectedPartitionWindow half_open;
+  half_open.start = 1s;
+  half_open.duration = 2s;
+  half_open.nodes = {1};
+  half_open.block_inbound = true;
+  half_open.block_outbound = false;
+  fault::InjectorConfig crash_points;
+  crash_points.mode = fault::Mode::UniformOverRun;
+  crash_points.uniform_max = 500;
+  crash_points.restart_delay = 500ms;
+  const std::vector<std::pair<std::string, scenario::FaultPlan>> classes = {
+      {"kills", scenario::FaultPlan::crash_restart_kills(2, /*settle=*/5s)},
+      {"half-open", scenario::FaultPlan::asymmetric_partitions({half_open})},
+      {"rolling", scenario::FaultPlan::rolling_restart(1, /*stagger=*/2s, /*down_time=*/800ms)},
+      {"crashpoints", scenario::FaultPlan::probabilistic_crashes(crash_points)},
+      {"churn", scenario::FaultPlan::membership_churn(1, /*settle=*/1s)},
+  };
+
+  std::size_t ok_kills = 0;
+  std::uint64_t firings = 0;
+  std::size_t churn_rounds = 0;
+  for (const auto& [name, plan] : classes) {
+    scenario::SweepSpec sweep;
+    sweep.base.name = "reuse-" + name;
+    sweep.base.servers = 5;
+    sweep.base.warmup = 1s;
+    sweep.base.durable_log = true;
+    sweep.base.faults = plan;
+    wl::MixConfig mix;
+    mix.clients = 2;
+    mix.duration = 3s;
+    sweep.base.workload = scenario::WorkloadPlan::closed_loop(mix);
+    sweep.variants = {scenario::Variant::Raft, scenario::Variant::Dynatune};
+    sweep.seeds = 3;
+    sweep.master_seed = 77;
+    sweep.threads = 1;
+
+    sweep.reuse_substrate = false;
+    const auto fresh = scenario::ScenarioRunner::run_sweep(sweep);
+    sweep.reuse_substrate = true;
+    const auto reused = scenario::ScenarioRunner::run_sweep(sweep);
+    ASSERT_EQ(fresh.size(), 6u) << name;
+    EXPECT_EQ(fresh, reused) << name;
+    for (const scenario::ScenarioResult& r : reused) {
+      EXPECT_EQ(r.invariant_violations, 0u) << name;
+      for (const scenario::FailoverSample& f : r.failovers) ok_kills += f.ok ? 1 : 0;
+      firings += r.crash_firings;
+      churn_rounds += r.membership_rounds;
+    }
+  }
+  // Coverage: each plan exercised the machinery it names.
+  EXPECT_GE(ok_kills, 1u) << "no kill produced a failover";
+  EXPECT_GE(firings, 1u) << "no crash point fired";
+  EXPECT_GE(churn_rounds, 1u) << "no churn round completed";
+}
+
 /// Sink that records results (order included) for the streaming contract.
 class CollectingSink final : public scenario::ResultSink {
  public:
@@ -441,8 +545,9 @@ class CollectingSink final : public scenario::ResultSink {
 
 TEST(SweepReuse, NamedFactoryPolicySweepsAfterTheVariants) {
   // A custom policy joins a grid as a second sweep into the same sink: its
-  // cells follow the built-in variants under the config's own name, and are
-  // exact too (fresh vs reused).
+  // cells follow the built-in variants under the config's own name, and the
+  // reuse sweep (fresh deployments, as for any config_factory) matches the
+  // fresh one.
   scenario::SweepSpec sweep = isolation_sweep();
   sweep.variants = {scenario::Variant::Raft};
   sweep.sizes = {3};
