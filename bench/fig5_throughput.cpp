@@ -39,8 +39,7 @@ scenario::ScenarioSpec fig5_spec(bool dynatune, Duration level_duration, double 
   // exactly this per-command time.
   spec.command_service_time = dynatune ? std::chrono::nanoseconds(77'800)
                                        : std::chrono::nanoseconds(73'100);
-  spec.durable_log = false;  // no crash/recovery in this experiment
-  spec.warmup = 5s;          // let Dynatune warm up before offering load
+  spec.warmup = 5s;  // let Dynatune warm up before offering load
 
   wl::RampConfig ramp;
   ramp.start_rps = 1000;

@@ -72,7 +72,6 @@ cluster::ClusterConfig make_config(const BenchParams& p, bool group_commit,
   net::LinkCondition link;
   link.rtt = 2ms;
   cfg.links = net::ConditionSchedule::constant(link);
-  cfg.durable_log = false;
   cfg.raft.group_commit = group_commit;
   cfg.raft.max_batch_commands = max_cmds;
   cfg.raft.read_index = true;

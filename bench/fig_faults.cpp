@@ -101,7 +101,6 @@ FaultRow measure_cell(const FaultClass& fc, scenario::Variant variant, std::size
   sweep.base.variant = variant;
   sweep.base.servers = servers;
   sweep.base.warmup = 2s;
-  sweep.base.durable_log = true;  // every class must be able to recover
   sweep.base.faults = fc.plan;
   wl::MixConfig mix;
   mix.clients = 2;

@@ -128,7 +128,6 @@ cluster::ClusterConfig group_config(const BenchParams& p, std::size_t servers,
   net::LinkCondition link;
   link.rtt = 2ms;
   cfg.links = net::ConditionSchedule::constant(link);
-  cfg.durable_log = false;
   if (model_cpu) {
     cfg.round_service_time = p.round;
     cfg.command_service_time = p.per_command;
@@ -218,7 +217,6 @@ scenario::ScenarioSpec failover_spec(const BenchParams& p, std::size_t shards,
   spec.shards = shards;
   spec.seed = p.seed;
   spec.topology = scenario::TopologySpec::constant(2ms);
-  spec.durable_log = false;
   wl::MixConfig mix;
   mix.clients = 2 * shards;  // two pinned sessions per shard
   mix.get_ratio = 0.0;

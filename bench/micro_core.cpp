@@ -299,7 +299,6 @@ void BM_ClusterReplicationSecond(benchmark::State& state) {
   // follower side, zero-copy command decode in the state machine.
   const auto n = static_cast<std::size_t>(state.range(0));
   cluster::ClusterConfig cfg = cluster::make_raft_config(n, 11);
-  cfg.durable_log = false;
   cluster::Cluster c(std::move(cfg));
   c.await_leader(30s);
   std::vector<std::string> payloads;

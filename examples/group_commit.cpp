@@ -28,7 +28,6 @@ int main(int argc, char** argv) {
   spec.servers = 5;
   spec.seed = seed;
   spec.topology = scenario::TopologySpec::constant(/*rtt=*/2ms);
-  spec.durable_log = false;
   // Batch-aware CPU model: a commit round costs 2 ms fixed + 50 us per
   // command it carries. Unbatched, every command is its own round.
   spec.round_service_time = 2ms;

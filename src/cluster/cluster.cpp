@@ -1,7 +1,6 @@
 #include "cluster/cluster.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "dynatune/policy.hpp"
 #include "raft/storage.hpp"
@@ -49,7 +48,6 @@ Cluster::Cluster(ClusterConfig config) : cfg_(std::move(config)) {
     roster_[i] = cfg_.node_base + static_cast<NodeId>(i);
   }
   if (cfg_.fault) {
-    DYNA_EXPECTS(cfg_.durable_log);  // a crash must be restartable
     for (std::size_t i = 0; i < cfg_.servers; ++i) arm_injector(i);
   }
 
@@ -59,11 +57,7 @@ Cluster::Cluster(ClusterConfig config) : cfg_(std::move(config)) {
   const NodeId first_id = net_->add_nodes(cfg_.servers);
   DYNA_ASSERT(first_id == cfg_.node_base);
   for (std::size_t i = 0; i < cfg_.servers; ++i) {
-    if (cfg_.durable_log) {
-      storages_[i] = std::make_shared<raft::MemoryStorage>();
-    } else {
-      storages_[i] = std::make_shared<raft::NullStorage>();
-    }
+    storages_[i] = std::make_shared<raft::Storage>();
     service_[i] = std::make_unique<ServiceQueue>(*sim_, group_model());
   }
   for (std::size_t i = 0; i < cfg_.servers; ++i) {
@@ -351,31 +345,18 @@ void Cluster::crash(NodeId id) {
 void Cluster::restart(NodeId id) {
   const std::size_t idx = index_of(id);
   DYNA_EXPECTS(nodes_[idx] == nullptr);
-  if (!storages_[idx]->durable_log()) {
-    // Reviving a node over log-discarding storage would bring it back with an
-    // empty log — committed entries silently missing, a safety violation that
-    // used to surface only as divergence much later.
-    throw std::runtime_error("Cluster::restart(" + std::to_string(id) +
-                             "): storage discards the log (durable_log=false); set "
-                             "ClusterConfig::durable_log=true for crash/restart scenarios");
-  }
   build_node(id);
 }
 
 NodeId Cluster::add_server(bool as_learner) {
   DYNA_EXPECTS(owns_substrate());  // shared-substrate geometry is fixed
-  if (!cfg_.durable_log) {
-    throw std::runtime_error(
-        "Cluster::add_server: joining servers catch up from durable state; set "
-        "ClusterConfig::durable_log=true for membership-change scenarios");
-  }
   // The network hands out the next endpoint id; it need not be dense with the
   // server roster (workload clients claim endpoints too). index_of resolves
   // appended servers by roster scan, never by id arithmetic.
   const NodeId id = net_->add_node(nullptr);
   const std::size_t idx = roster_.size();
   roster_.push_back(id);
-  storages_.push_back(std::make_shared<raft::MemoryStorage>());
+  storages_.push_back(std::make_shared<raft::Storage>());
   state_machines_.emplace_back();
   nodes_.emplace_back();
   service_.push_back(std::make_unique<ServiceQueue>(*sim_, group_model()));

@@ -60,18 +60,14 @@ struct ClusterConfig {
     return round_service_time > Duration{0} || command_service_time > Duration{0};
   }
 
-  /// Use durable per-server log storage (required for crash/restart tests).
-  /// Throughput benchmarks disable it to halve memory use.
-  bool durable_log = true;
-
   /// CPU accounting (Fig 7b); disabled by default to keep hot paths lean.
   std::optional<CostModel> perf_cost;
   Duration perf_bin = std::chrono::seconds(5);
 
   /// Probabilistic crash points (src/fault/). When set, every server gets a
   /// per-trial Injector seeded from (seed, slot) and a crashed node is
-  /// rebuilt from storage after `fault->restart_delay`. Requires
-  /// durable_log. Off by default — the hot paths stay branch-free.
+  /// rebuilt from storage after `fault->restart_delay`. Off by default — the
+  /// hot paths stay branch-free.
   std::optional<fault::InjectorConfig> fault;
 
   /// Additional observers attached to every node (and re-attached across
@@ -158,9 +154,8 @@ class Cluster {
   void pause(NodeId id);    ///< freeze node + its network endpoint
   void resume(NodeId id);
   void crash(NodeId id);    ///< lose volatile state; storage survives
-  /// Rebuild node + state machine from storage (snapshot + log suffix).
-  /// Throws std::runtime_error if the node's storage discards the log
-  /// (durable_log=false) — restarting it would lose committed entries.
+  /// Rebuild node + state machine from storage: the log cut back to its
+  /// durable watermark, the snapshot, and the log suffix behind it.
   void restart(NodeId id);
 
   // ---- Dynamic membership (single-server changes) ----
@@ -168,7 +163,7 @@ class Cluster {
   /// start it as a learner (default) or direct voter candidate. Returns the
   /// new server's id. The server only *joins* once a leader commits the
   /// matching AddLearner/AddVoter config entry (propose_config_change).
-  /// Requires an owned substrate and durable_log.
+  /// Requires an owned substrate.
   NodeId add_server(bool as_learner = true);
 
   /// Tear down a server whose Remove entry has committed: the node object is

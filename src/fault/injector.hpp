@@ -33,8 +33,8 @@ namespace dyna::fault {
 enum class CrashPoint : std::uint8_t {
   BeforePersistHardState = 0,  ///< before storage_->save_hard_state
   AfterPersistHardState,       ///< after storage_->save_hard_state
-  BeforePersistAppend,         ///< before storage_->append (log_ already has the suffix)
-  AfterPersistAppend,          ///< after storage_->append
+  BeforePersistAppend,         ///< log_ has the suffix; the durable watermark does not yet
+  AfterPersistAppend,          ///< after storage_->persist_log() advanced the watermark
   BeforeSnapshotInstall,       ///< before snapshot adoption / leader-side snapshot persist
   AfterSnapshotInstall,        ///< after snapshot adoption / leader-side snapshot persist
   MidBatchSeal,                ///< inside seal_batch, routes pushed but entry not appended

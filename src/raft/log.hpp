@@ -39,15 +39,16 @@
 // store keeps each value as a view into the entry's payload plus that
 // handle. Every replica of a PUT then aliases the one copy its shared
 // segment holds. A value pins exactly one segment, and no segment grows
-// with run length (a broadcast round, a merged catch-up view of at most
-// one AppendEntries' 4096 entries, or a restart's replayed durable suffix),
-// so the memory kept alive past compaction is bounded by live keys x the
-// largest segment.
+// with run length (a broadcast round, or a merged catch-up view of at most
+// one AppendEntries' 4096 entries), so the memory kept alive past
+// compaction is bounded by live keys x the largest segment.
+//
+// The log is also the durable one: raft::Storage owns it and marks how far
+// it is persisted, and a restarted node takes the same segments over.
 #pragma once
 
 #include <algorithm>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "common/check.hpp"
@@ -186,12 +187,10 @@ class RaftLog {
     return entry(index).term;
   }
 
-  /// Append one entry at the end; returns a reference valid until the next
-  /// mutation (the node hands it straight to Storage::append).
-  const LogEntry& append(LogEntry e) {
+  /// Append one entry at the end.
+  void append(LogEntry e) {
     DYNA_EXPECTS(e.index == last_index() + 1);
     tail_.push_back(std::move(e));
-    return tail_.back();
   }
 
   /// Adopt a replicated view wholesale: the view's segment is spliced into
@@ -337,22 +336,6 @@ class RaftLog {
     return EntryView(std::make_shared<const LogSegment>(first, std::move(merged)), first,
                      count);
   }
-
-  /// Replace the whole log (crash recovery): the durable suffix `entries`
-  /// starts right after the durable compaction line (c, term_c). Entries
-  /// must be contiguous from c + 1, as Storage guarantees.
-  void assign(LogIndex c, Term term_c, std::span<const LogEntry> entries) {
-    DYNA_EXPECTS(entries.empty() || entries.front().index == c + 1);
-    runs_.clear();
-    tail_first_ = c + 1;
-    tail_.assign(entries.begin(), entries.end());
-    compacted_to_ = c;
-    compacted_term_ = term_c;
-    hint_ = 0;
-  }
-
-  /// Uncompacted recovery: entries are 1-based from index 1.
-  void assign(std::span<const LogEntry> entries) { assign(0, 0, entries); }
 
   /// Number of sealed runs (introspection / tests).
   [[nodiscard]] std::size_t sealed_runs() const noexcept { return runs_.size(); }

@@ -57,8 +57,8 @@ RaftNode::RaftNode(NodeId id, std::vector<NodeId> peers, sim::Simulator& simulat
       storage_(std::move(storage)),
       policy_(std::move(policy)),
       rng_(std::move(rng)),
+      log_((DYNA_EXPECTS(storage_ != nullptr), storage_->log())),
       election_timer_(simulator, [this] { with_crash_guard([this] { on_election_deadline(); }); }) {
-  DYNA_EXPECTS(storage_ != nullptr);
   DYNA_EXPECTS(policy_ != nullptr);
   DYNA_EXPECTS(std::find(peers_.begin(), peers_.end(), id_) == peers_.end());
   for (const NodeId p : peers_) DYNA_EXPECTS(p >= 0);
@@ -75,12 +75,13 @@ void RaftNode::start() {
   voted_for_ = voted_for;
   // Recovery = snapshot + durable suffix: restore the state machine from the
   // persisted snapshot (if any) and replay only the entries behind it,
-  // instead of the whole log from index 1.
+  // instead of the whole log from index 1. The log is storage's own; cutting
+  // it back to the durable watermark drops what a crash left unpersisted and
+  // keeps the surviving segments where they are.
   snapshot_ = storage_->load_snapshot();
-  const auto [compacted_to, compacted_term] = storage_->log_start();
-  log_.assign(compacted_to, compacted_term, storage_->load_log());
+  storage_->recover();
   if (snapshot_) {
-    DYNA_ASSERT(snapshot_->last_index >= compacted_to);
+    DYNA_ASSERT(snapshot_->last_index >= log_.compacted_to());
     if (restore_) restore_(snapshot_);
     commit_index_ = snapshot_->last_index;
     last_applied_ = snapshot_->last_index;
@@ -147,8 +148,8 @@ void RaftNode::reset_for_trial(Rng rng) {
   membership_changed_ = false;
   pending_config_ = 0;
 
-  // Persistent-state mirrors and the log: start() reloads them from the
-  // (reset) storage; clearing here keeps the segment store's tail capacity.
+  // Persistent-state mirrors: start() reloads them from the (reset) storage,
+  // which also holds the log.
   term_ = 0;
   voted_for_ = kNoNode;
   snapshot_.reset();  // the trial's snapshot blob must not leak into the next
@@ -412,8 +413,8 @@ void RaftNode::become_leader() {
   LogEntry noop;
   noop.term = term_;
   noop.index = last_log_index() + 1;
-  const LogEntry& appended = log_.append(std::move(noop));
-  persist_append(std::span<const LogEntry>(&appended, 1));
+  log_.append(std::move(noop));
+  persist_append();
 
   for (std::size_t slot = 0; slot < peer_state_.size(); ++slot) {
     replicate_to(slot);
@@ -710,11 +711,7 @@ void RaftNode::maybe_take_snapshot() {
   ++snapshots_taken_;
   const LogIndex keep = std::min<LogIndex>(config_.snapshot_trailing, last_applied_);
   const LogIndex cut = last_applied_ - keep;
-  if (cut > log_.compacted_to()) {
-    const Term cut_term = log_.term_at(cut);
-    log_.compact_to(cut, cut_term);
-    storage_->compact_log_to(cut, cut_term);
-  }
+  if (cut > log_.compacted_to()) storage_->compact_to(cut, log_.term_at(cut));
 }
 
 // ---- Message dispatch --------------------------------------------------------------
@@ -820,7 +817,7 @@ void RaftNode::on_append_entries(NodeId from, const AppendEntriesRequest& req) {
       // segment by reference — the follower's copy of this suffix IS the
       // leader's materialization, shared cluster-wide.
       log_.append_view(req.entries);
-      persist_append(std::span<const LogEntry>(req.entries.begin(), req.entries.size()));
+      persist_append();
     } else {
       // Overlap with what we already hold: append genuinely new entries,
       // truncating on divergence, entry by entry.
@@ -829,15 +826,14 @@ void RaftNode::on_append_entries(NodeId from, const AppendEntriesRequest& req) {
         if (entry.index <= last_log_index()) {
           if (term_at(entry.index) != entry.term) {
             storage_->truncate_from(entry.index);
-            log_.truncate_from(entry.index);
-            const LogEntry& appended = log_.append(entry);
-            persist_append(std::span<const LogEntry>(&appended, 1));
+            log_.append(entry);
+            persist_append();
           }
           // else: duplicate of what we already hold — skip.
         } else {
           DYNA_ASSERT(entry.index == last_log_index() + 1);
-          const LogEntry& appended = log_.append(entry);
-          persist_append(std::span<const LogEntry>(&appended, 1));
+          log_.append(entry);
+          persist_append();
         }
       }
     }
@@ -949,12 +945,10 @@ void RaftNode::on_install_snapshot(NodeId from, const InstallSnapshotRequest& re
         log_.term_at(snap.last_index) == snap.last_term) {
       // Our log extends past the snapshot and agrees with it: keep the
       // suffix, drop only the covered prefix.
-      log_.compact_to(snap.last_index, snap.last_term);
-      storage_->compact_log_to(snap.last_index, snap.last_term);
+      storage_->compact_to(snap.last_index, snap.last_term);
     } else {
       // Behind or divergent: the snapshot replaces the whole log.
-      log_.install(snap.last_index, snap.last_term);
-      storage_->reset_log(snap.last_index, snap.last_term);
+      storage_->install(snap.last_index, snap.last_term);
     }
     commit_index_ = snap.last_index;
     last_applied_ = snap.last_index;
@@ -1111,8 +1105,8 @@ LogIndex RaftNode::append_leader_entry(Command command) {
   entry.index = last_log_index() + 1;
   entry.command = std::move(command);
   const LogIndex index = entry.index;
-  const LogEntry& appended = log_.append(std::move(entry));
-  persist_append(std::span<const LogEntry>(&appended, 1));
+  log_.append(std::move(entry));
+  persist_append();
   return index;
 }
 
@@ -1286,13 +1280,14 @@ void RaftNode::persist_hard_state() {
   crash_point(fault::CrashPoint::AfterPersistHardState);
 }
 
-void RaftNode::persist_append(std::span<const LogEntry> entries) {
-  // The in-memory log_ already holds the suffix: a BeforePersistAppend crash
-  // is the plug pulled between the volatile append and the durable one, so
-  // the entries are lost on restart — exactly the window a real fsync gap
-  // leaves open.
+void RaftNode::persist_append() {
+  // log_ already holds the suffix; persisting it advances storage's durable
+  // watermark over it. A BeforePersistAppend crash is the plug pulled
+  // between the volatile append and the durable one: the restart cuts the
+  // log back to the watermark, so the entries are lost — exactly the window
+  // a real fsync gap leaves open.
   crash_point(fault::CrashPoint::BeforePersistAppend);
-  storage_->append(entries);
+  storage_->persist_log();
   crash_point(fault::CrashPoint::AfterPersistAppend);
 }
 

@@ -12,7 +12,6 @@
 #include <memory>
 #include <optional>
 #include <set>
-#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -222,7 +221,7 @@ class RaftNode {
 
   // ---- Helpers ----
   void persist_hard_state();
-  void persist_append(std::span<const LogEntry> entries);
+  void persist_append();
   [[nodiscard]] bool log_up_to_date(LogIndex their_index, Term their_term) const;
   [[nodiscard]] Term term_at(LogIndex index) const;
   /// Quorum over the VOTER set (learners replicate but never count).
@@ -312,10 +311,10 @@ class RaftNode {
   RestoreFn restore_;
   std::vector<Observer*> observers_;
 
-  // ---- Persistent state (mirrored in storage_) ----
+  // ---- Persistent state (mirrored in storage_, which owns the log) ----
   Term term_ = 0;
   NodeId voted_for_ = kNoNode;
-  RaftLog log_;  ///< segment store; entry i+1 lives at log_[i]
+  RaftLog& log_;  ///< storage_->log(): the one copy, durable up to its watermark
   SnapshotHandle snapshot_;  ///< current snapshot (mirrored in storage_)
   std::uint64_t snapshots_taken_ = 0;  ///< snapshots this node built itself
 

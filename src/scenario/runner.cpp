@@ -49,11 +49,9 @@ cluster::ClusterConfig build_config(const ScenarioSpec& spec) {
   if (spec.group_commit) cfg.raft.group_commit = *spec.group_commit;
   if (spec.max_batch_commands) cfg.raft.max_batch_commands = *spec.max_batch_commands;
   if (spec.read_index) cfg.raft.read_index = *spec.read_index;
-  cfg.durable_log = spec.durable_log;
   cfg.perf_cost = spec.perf_cost;
   cfg.perf_bin = spec.perf_bin;
   cfg.fault = spec.faults.crash_points;
-  if (cfg.fault) cfg.durable_log = true;  // felled nodes must be able to recover
   return cfg;
 }
 

@@ -84,8 +84,7 @@ struct TopologySpec {
 
 /// How a leader kill is delivered: the paper's "container sleep" freezes the
 /// process (volatile state survives), a crash/restart cycle loses volatile
-/// state and recovers from Storage (snapshot + log suffix). CrashRestart
-/// requires durable_log — Cluster::restart rejects log-discarding storage.
+/// state and recovers from Storage (snapshot + durable log suffix).
 enum class FaultMode { PauseResume, CrashRestart };
 
 /// Fault plan: repeated leader kills (§IV-B1), delivered either as
@@ -139,7 +138,6 @@ struct FaultPlan {
 
   /// Rolling restart sweep: `rounds` passes over the live servers, crashing
   /// each in turn for `down_time`, successive crashes `stagger` apart.
-  /// Requires durable_log (Cluster::restart enforces it).
   struct RollingRestart {
     std::size_t rounds = 0;
     Duration stagger = 3s;
@@ -147,9 +145,9 @@ struct FaultPlan {
   };
   std::optional<RollingRestart> rolling;
 
-  /// Probabilistic crash points compiled into RaftNode/Storage hot spots
-  /// (src/fault/injector.hpp). Compiled into the ClusterConfig by the
-  /// runner; requires durable_log so felled nodes can recover.
+  /// Probabilistic crash points compiled into RaftNode's storage and
+  /// replication hot spots (src/fault/injector.hpp). Compiled into the
+  /// ClusterConfig by the runner; felled nodes recover from their storage.
   std::optional<fault::InjectorConfig> crash_points;
 
   /// Membership churn: per round the runner provisions a fresh server, joins
@@ -369,6 +367,8 @@ struct ScenarioSpec {
   std::optional<std::size_t> max_batch_commands;
   /// Leader ReadIndex fast path for GETs (see RaftConfig::read_index).
   std::optional<bool> read_index;
+  /// Ignored: every server's storage keeps its log durable at no memory
+  /// cost. Kept only for the perf ledger's workloads, which still set it.
   bool durable_log = true;
   /// CPU accounting (Fig 7b).
   std::optional<cluster::CostModel> perf_cost;

@@ -164,7 +164,6 @@ cluster::ClusterConfig batching_config(std::uint64_t seed, bool group_commit,
   net::LinkCondition link;
   link.rtt = 10ms;
   cfg.links = net::ConditionSchedule::constant(link);
-  cfg.durable_log = false;
   cfg.raft.group_commit = group_commit;
   cfg.raft.read_index = read_index;
   return cfg;
@@ -266,7 +265,6 @@ scenario::SweepSpec mixed_sweep() {
   sweep.base.name = "mix";
   sweep.base.servers = 3;
   sweep.base.topology = scenario::TopologySpec::constant(10ms);
-  sweep.base.durable_log = false;
   sweep.base.group_commit = true;
   sweep.base.read_index = true;
   sweep.base.round_service_time = 200us;

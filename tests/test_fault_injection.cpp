@@ -111,7 +111,6 @@ TEST(Injector, UniformOverRunTargetInRangeAndSeedStable) {
 
 cluster::ClusterConfig fault_config(fault::InjectorConfig inj, std::uint64_t seed = 7) {
   cluster::ClusterConfig cfg = cluster::make_raft_config(5, seed);
-  cfg.durable_log = true;
   cfg.fault = inj;
   return cfg;
 }
@@ -218,6 +217,69 @@ TEST(FaultCluster, InjectorsRearmAcrossTrialReset) {
   drive_commits(*c, 60);
   EXPECT_EQ(c->fault_firings(), first);
   EXPECT_EQ(c->audit_invariants(), 0u);
+}
+
+/// A follower's log length just before one append that a firing of `point`
+/// interrupts, and right after the follower is restarted.
+struct AppendAcrossFiring {
+  raft::LogIndex before = 0;
+  raft::LogIndex after_restart = 0;
+};
+
+/// Fires `point` once on one follower, inside the append of a single
+/// replicated entry, then restarts the follower by hand before any message
+/// reaches it. RunLength counts each node's visits to the one masked point;
+/// re-arming every other node's injector sets its count back to zero, so the
+/// follower is the first to reach run_length.
+AppendAcrossFiring follower_append_across_firing(fault::CrashPoint point) {
+  fault::InjectorConfig inj;
+  inj.mode = fault::Mode::RunLength;
+  inj.points_mask = fault::point_bit(point);
+  inj.run_length = 6;
+  inj.restart_delay = 1h;  // the test restarts the follower itself
+  auto c = start_cluster(fault_config(inj, /*seed=*/17));
+  c->sim().run_for(1s);  // the leader's no-op reaches every follower
+  const NodeId leader = c->current_leader();
+  const NodeId follower = leader == 0 ? 1 : 0;
+  for (const NodeId id : c->server_ids()) {
+    if (id != follower) c->injector(id)->arm(0);
+  }
+
+  AppendAcrossFiring r;
+  for (int i = 0; i < 10 && c->injector(follower)->fired() == 0; ++i) {
+    r.before = c->node(follower).last_log_index();
+    raft::Command cmd;
+    cmd.payload = "put k" + std::to_string(i) + " v";
+    (void)c->node(leader).submit(std::move(cmd));
+    c->sim().run_for(200ms);
+  }
+  EXPECT_EQ(c->fault_firings(), 1u);
+  if (c->node_if_alive(follower) != nullptr) {
+    ADD_FAILURE() << "the firing did not fell follower " << follower;
+    return r;
+  }
+  EXPECT_EQ(c->node(leader).last_log_index(), r.before + 1);  // the interrupted append
+  c->restart(follower);
+  r.after_restart = c->node(follower).last_log_index();
+
+  c->sim().run_for(2s);  // the follower catches up again, safely
+  EXPECT_EQ(c->node(follower).last_log_index(), c->node(leader).last_log_index());
+  EXPECT_EQ(c->audit_invariants(), 0u);
+  return r;
+}
+
+TEST(FaultCluster, BeforePersistAppendFiringLosesTheInterruptedAppend) {
+  const AppendAcrossFiring r =
+      follower_append_across_firing(fault::CrashPoint::BeforePersistAppend);
+  EXPECT_GT(r.before, 0u);
+  EXPECT_EQ(r.after_restart, r.before);
+}
+
+TEST(FaultCluster, AfterPersistAppendFiringKeepsTheAppend) {
+  const AppendAcrossFiring r =
+      follower_append_across_firing(fault::CrashPoint::AfterPersistAppend);
+  EXPECT_GT(r.before, 0u);
+  EXPECT_EQ(r.after_restart, r.before + 1);
 }
 
 TEST(FaultScenario, RunnerCompilesCrashPointsAndCountsFirings) {

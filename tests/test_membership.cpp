@@ -21,12 +21,6 @@ using namespace std::chrono_literals;
 using raft::ConfigChange;
 using testutil::start_cluster;
 
-cluster::ClusterConfig membership_config(std::size_t servers, std::uint64_t seed) {
-  cluster::ClusterConfig cfg = cluster::make_raft_config(servers, seed);
-  cfg.durable_log = true;  // add_server requires restartable storage
-  return cfg;
-}
-
 void commit_some(cluster::Cluster& c, int n, const char* tag) {
   for (int i = 0; i < n; ++i) {
     const NodeId leader = c.current_leader();
@@ -51,7 +45,7 @@ raft::LogIndex change(cluster::Cluster& c, ConfigChange kind, NodeId target) {
 // ---- Learner lifecycle ------------------------------------------------------------
 
 TEST(Membership, LearnerJoinsCatchesUpAndNeverVotes) {
-  auto c = start_cluster(membership_config(3, 41));
+  auto c = start_cluster(cluster::make_raft_config(3, 41));
   commit_some(*c, 20, "pre");
 
   const NodeId joiner = c->add_server(/*as_learner=*/true);
@@ -80,7 +74,7 @@ TEST(Membership, LearnerJoinsCatchesUpAndNeverVotes) {
 }
 
 TEST(Membership, PromoteTurnsLearnerIntoVoter) {
-  auto c = start_cluster(membership_config(3, 43));
+  auto c = start_cluster(cluster::make_raft_config(3, 43));
   const NodeId joiner = c->add_server(/*as_learner=*/true);
   change(*c, ConfigChange::AddLearner, joiner);
   change(*c, ConfigChange::Promote, joiner);
@@ -94,7 +88,7 @@ TEST(Membership, PromoteTurnsLearnerIntoVoter) {
 }
 
 TEST(Membership, RemoveFollowerShrinksClusterAndServiceContinues) {
-  auto c = start_cluster(membership_config(5, 47));
+  auto c = start_cluster(cluster::make_raft_config(5, 47));
   commit_some(*c, 10, "pre");
   const NodeId leader = c->current_leader();
   NodeId victim = kNoNode;
@@ -122,7 +116,7 @@ TEST(Membership, RemoveFollowerShrinksClusterAndServiceContinues) {
 }
 
 TEST(Membership, RemoveLeaderAbdicatesAndClusterReElects) {
-  auto c = start_cluster(membership_config(5, 53));
+  auto c = start_cluster(cluster::make_raft_config(5, 53));
   commit_some(*c, 5, "pre");
   const NodeId old_leader = c->current_leader();
   ASSERT_NE(old_leader, kNoNode);
@@ -143,7 +137,7 @@ TEST(Membership, RemoveLeaderAbdicatesAndClusterReElects) {
 }
 
 TEST(Membership, OnlyOneConfigChangeInFlight) {
-  auto c = start_cluster(membership_config(3, 59));
+  auto c = start_cluster(cluster::make_raft_config(3, 59));
   const NodeId joiner = c->add_server(/*as_learner=*/true);
   const auto first = c->propose_config_change(ConfigChange::AddLearner, joiner);
   ASSERT_TRUE(first.has_value());
@@ -157,7 +151,7 @@ TEST(Membership, OnlyOneConfigChangeInFlight) {
 }
 
 TEST(Membership, TrialResetRestoresFoundingRoster) {
-  auto c = start_cluster(membership_config(3, 61));
+  auto c = start_cluster(cluster::make_raft_config(3, 61));
   const auto founding = c->server_ids();
   const NodeId joiner = c->add_server(/*as_learner=*/true);
   change(*c, ConfigChange::AddLearner, joiner);
@@ -177,7 +171,7 @@ TEST(Membership, RestartRestoresRosterFromSnapshotCoveringTheChurn) {
   // on restart the roster can come only from the snapshot. The removal is
   // not finalized yet, so the harness still hands the restarted node the
   // removed server as a peer — the snapshot must override it.
-  cluster::ClusterConfig cfg = membership_config(5, 83);
+  cluster::ClusterConfig cfg = cluster::make_raft_config(5, 83);
   cfg.raft.snapshot_threshold = 4;
   cfg.raft.snapshot_trailing = 0;
   auto c = start_cluster(cfg);
@@ -226,7 +220,6 @@ TEST(MembershipScenario, ChurnRoundsCompleteWithZeroViolations) {
   spec.servers = 5;
   spec.seed = 71;
   spec.warmup = 2s;
-  spec.durable_log = true;
   spec.faults = scenario::FaultPlan::membership_churn(/*rounds=*/2, /*settle=*/1s);
   wl::MixConfig mix;
   mix.clients = 2;

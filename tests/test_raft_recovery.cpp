@@ -3,6 +3,7 @@
 
 #include "cluster/cluster.hpp"
 #include "kvstore/command.hpp"
+#include "raft/storage.hpp"
 
 namespace dyna {
 namespace {
@@ -94,6 +95,75 @@ TEST(Recovery, CommittedEntriesSurviveMinorityCrash) {
   for (const NodeId id : c.server_ids()) {
     EXPECT_EQ(c.state_machine(id).data().at("durable"), "yes") << "node " << id;
   }
+}
+
+TEST(Recovery, RestartKeepsTheSegmentsItSharesWithTheLeader) {
+  // Followers adopt the leader's segments; a restart takes its storage's log
+  // over as it stands, so a committed entry keeps its address.
+  Cluster c(cluster::make_raft_config(3, 8));
+  ASSERT_TRUE(c.await_leader(30s));
+  const NodeId leader = c.current_leader();
+  for (int i = 0; i < 10; ++i) c.node(leader).submit(make_cmd("k" + std::to_string(i), "v"));
+  c.sim().run_for(2s);
+  const NodeId victim = leader == 0 ? 1 : 0;
+  const raft::LogIndex commit = c.node(leader).commit_index();
+  ASSERT_GE(commit, 11u);  // the no-op and ten PUTs
+  for (raft::LogIndex i = 1; i <= commit; ++i) {
+    ASSERT_EQ(&c.node(victim).log().entry(i), &c.node(leader).log().entry(i)) << "entry " << i;
+  }
+  c.crash(victim);
+  c.restart(victim);
+  ASSERT_EQ(c.node(victim).last_log_index(), c.node(leader).last_log_index());
+  for (raft::LogIndex i = 1; i <= commit; ++i) {
+    EXPECT_EQ(&c.node(victim).log().entry(i), &c.node(leader).log().entry(i)) << "entry " << i;
+  }
+}
+
+raft::LogEntry entry_of(raft::Term term, raft::LogIndex index) {
+  raft::LogEntry e;
+  e.term = term;
+  e.index = index;
+  return e;
+}
+
+TEST(Storage, RecoverKeepsExactlyTheDurablePrefix) {
+  raft::Storage s;
+  for (raft::LogIndex i = 1; i <= 6; ++i) s.log().append(entry_of(1, i));
+  s.persist_log();
+  EXPECT_EQ(s.durable_index(), 6u);
+  s.compact_to(2, 1);
+  // A follower's conflict: truncation lowers the watermark at once, the
+  // replacement entries are appended but never persisted.
+  s.truncate_from(5);
+  EXPECT_EQ(s.durable_index(), 4u);
+  s.log().append(entry_of(2, 5));
+  s.log().append(entry_of(2, 6));
+  s.recover();
+  ASSERT_EQ(s.log().last_index(), 4u);
+  EXPECT_EQ(s.log().compacted_to(), 2u);
+  EXPECT_EQ(s.log().compacted_term(), 1u);
+  EXPECT_EQ(s.log().term_at(4), 1u);
+
+  // An adopted run (a follower's pure append) past the watermark goes whole.
+  raft::RaftLog leader;
+  for (raft::LogIndex i = 1; i <= 7; ++i) leader.append(entry_of(i <= 4 ? 1 : 3, i));
+  s.log().append_view(leader.view(5, 3));
+  EXPECT_EQ(s.log().last_index(), 7u);
+  s.recover();
+  ASSERT_EQ(s.log().last_index(), 4u);
+  EXPECT_EQ(s.log().first_index(), 3u);
+
+  // InstallSnapshot replaces the log with a durable snapshot line.
+  s.log().append(entry_of(3, 5));
+  s.install(10, 4);
+  EXPECT_EQ(s.durable_index(), 10u);
+  s.log().append(entry_of(4, 11));
+  s.log().append(entry_of(4, 12));
+  s.recover();
+  EXPECT_EQ(s.log().last_index(), 10u);
+  EXPECT_TRUE(s.log().empty());
+  EXPECT_EQ(s.log().compacted_to(), 10u);
+  EXPECT_EQ(s.log().compacted_term(), 4u);
 }
 
 TEST(Pause, FrozenTimersResumeWithRemainingTime) {

@@ -173,7 +173,6 @@ TEST(ScenarioRunner, WorkloadPlanProducesLevels) {
   spec.servers = 3;
   spec.seed = 12;
   spec.topology = scenario::TopologySpec::constant(20ms);
-  spec.durable_log = false;
   spec.warmup = 1s;
   wl::RampConfig ramp;
   ramp.start_rps = 100;

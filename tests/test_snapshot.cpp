@@ -11,7 +11,6 @@
 //   * a follower behind the compaction point (paused or crashed across it)
 //     converges through InstallSnapshot, not full replay;
 //   * restart applies exactly (snapshot_index, commit] — once;
-//   * Cluster::restart over log-discarding storage is rejected loudly;
 //   * crash/restart sweeps remain bit-identical across thread counts;
 //   * zero-copy apply: the apply loop hands each entry its owning segment,
 //     an overwritten value stops pinning its segment once compaction has
@@ -22,7 +21,6 @@
 
 #include <map>
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -145,20 +143,6 @@ TEST(LogCompaction, InstallReplacesEverything) {
   EXPECT_EQ(log.entry(101).command.payload, "new");
   EXPECT_EQ(keepalive.size(), 6u);  // released segments outlive the install
   EXPECT_EQ(keepalive[0].command.payload, "old");
-}
-
-TEST(LogCompaction, AssignWithDurableCompactionLine) {
-  std::vector<raft::LogEntry> suffix;
-  for (raft::LogIndex i = 41; i <= 45; ++i) suffix.push_back(entry_of(4, i, "s"));
-  raft::RaftLog log;
-  log.append(entry_of(1, 1, "stale"));  // recovery replaces whatever was here
-  log.assign(40, 3, suffix);
-  EXPECT_EQ(log.compacted_to(), 40u);
-  EXPECT_EQ(log.compacted_term(), 3u);
-  EXPECT_EQ(log.first_index(), 41u);
-  EXPECT_EQ(log.last_index(), 45u);
-  EXPECT_EQ(log.term_at(40), 3u);
-  EXPECT_EQ(log.entry(43).index, 43u);
 }
 
 TEST(LogCompaction, ForEachSealedHandsEachEntryItsOwningSegment) {
@@ -498,9 +482,9 @@ TEST(SnapshotCompaction, InstalledValuesOutliveTheSnapshotTheyAlias) {
 
 TEST(SnapshotCompaction, RestartedValuesOutliveTheSnapshotAndLogTheyAlias) {
   // A restarted node restores from its persisted snapshot and replays the
-  // durable suffix from a freshly sealed segment; both stay alive through
+  // durable suffix from the segments its log kept; both stay alive through
   // the values that alias them after newer snapshots and compaction have
-  // dropped them from the node and its storage.
+  // dropped them from the node's log.
   Cluster c(snapshot_config(3, 29, /*threshold=*/20, /*trailing=*/5));
   ASSERT_TRUE(c.await_leader(30s));
   const NodeId leader = c.current_leader();
@@ -599,18 +583,6 @@ TEST(SnapshotCompaction, RestartAppliesExactlyTheSuffixOnce) {
     EXPECT_EQ(after[i], snap + 1 + i) << "apply position " << i;
   }
   EXPECT_EQ(c.state_machine(victim).revision(), c.state_machine(leader).revision());
-}
-
-TEST(SnapshotCompaction, RestartOverLogDiscardingStorageThrows) {
-  cluster::ClusterConfig cfg = cluster::make_raft_config(3, 26);
-  cfg.durable_log = false;  // NullStorage: hard state survives, the log does not
-  Cluster c(cfg);
-  ASSERT_TRUE(c.await_leader(30s));
-  const NodeId leader = c.current_leader();
-  c.node(leader).submit(make_cmd("k", "v"));
-  c.sim().run_for(1s);
-  c.crash(leader);
-  EXPECT_THROW(c.restart(leader), std::runtime_error);
 }
 
 // ---- Crash/restart scenarios through the sweep machinery ---------------------------

@@ -350,7 +350,7 @@ TEST(ClusterReset, SnapshotStateDoesNotLeakAcrossTrials) {
   // persists blobs and a compaction line, a crash/restart recovers from
   // them. Trial 2 on the reused substrate must match fresh construction —
   // i.e. reset_for_trial cleared the node's snapshot handle, the storage's
-  // blob and its durable log_start line.
+  // blob, its log's compaction line and its durable watermark.
   const scenario::ScenarioSpec first = snapshot_crash_spec(31);
   scenario::ScenarioSpec second = snapshot_crash_spec(32);
 
@@ -397,7 +397,7 @@ TEST(SweepReuse, FreshAndReusedAreByteIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(SweepReuse, NonResettableCustomPolicyFallsBackAndStaysExact) {
+TEST(SweepReuse, ConfigFactorySweepBuildsFreshAndMatches) {
   // A config_factory is opaque to the harness, so a reuse sweep builds
   // every trial of it as a fresh deployment — and still matches the fresh
   // sweep exactly.
@@ -422,7 +422,7 @@ TEST(SweepReuse, NonResettableCustomPolicyFallsBackAndStaysExact) {
   }
 }
 
-TEST(SweepReuse, SeedDependentConfigFactoryRecompilesEveryTrial) {
+TEST(SweepReuse, SeedDependentConfigFactoryBuildsEveryTrialFresh) {
   // A config_factory may legitimately vary with the trial seed, so a reuse
   // sweep builds every trial fresh from the recompiled config — a seed
   // reset would silently pin every trial of a cell to the first seed's
@@ -506,7 +506,6 @@ TEST(SweepReuse, EveryFaultClassSeedResetMatchesFresh) {
     sweep.base.name = "reuse-" + name;
     sweep.base.servers = 5;
     sweep.base.warmup = 1s;
-    sweep.base.durable_log = true;
     sweep.base.faults = plan;
     wl::MixConfig mix;
     mix.clients = 2;

@@ -17,7 +17,6 @@ std::unique_ptr<Cluster> make_loaded_cluster(std::uint64_t seed, Duration servic
   link.rtt = 20ms;
   cfg.links = net::ConditionSchedule::constant(link);
   cfg.command_service_time = service_time;  // group commit off: one round per request
-  cfg.durable_log = false;
   auto c = std::make_unique<Cluster>(std::move(cfg));
   if (!c->await_leader(30s)) return nullptr;
   return c;
