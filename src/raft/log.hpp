@@ -14,19 +14,25 @@
 // the same broadcast round shares the same segment — one suffix
 // materialization per round regardless of follower count, and copying an
 // in-flight message is a reference-count bump instead of a vector deep-copy.
+// A view that spans several runs (the catch-up of a lagging follower) is a
+// slice list: one small spliced segment listing the (segment, first index,
+// count) slices it covers, behind the same single handle. No entry is
+// copied for it.
 //
-// The same sharing works on the receive side: a follower whose log ends
-// exactly where an incoming view begins adopts the view's segment into its
-// own run chain (append_view) — replicas of one cluster physically share
-// the immutable bulk of the log, one materialization cluster-wide. This is
-// the shared-relay-log idea production systems use (cf. tarantool's
+// The same sharing works on the receive side: a follower adopts a view's
+// slices into its own run chain (append_view), extending its last run when
+// a slice continues it in the same segment — replicas of one cluster
+// physically share the immutable bulk of the log, one materialization
+// cluster-wide. A spliced segment is never adopted itself, only the slices
+// it lists, so every run points at a plain segment. This is the
+// shared-relay-log idea production systems use (cf. tarantool's
 // relay/limbo design) transplanted into the simulator.
 //
-// Truncation (follower conflict resolution) is copy-on-write: whole runs
-// past the cut are dropped; a straddling run's surviving prefix is copied
-// into the open tail while outstanding views keep the old immutable segment
-// alive. A view is therefore always valid for the lifetime of its handle,
-// no matter what the log does afterwards.
+// Truncation (follower conflict resolution) never copies: whole runs past
+// the cut are dropped and a straddling run is shortened to end before it,
+// while outstanding views keep their segments alive. A view is therefore
+// always valid for the lifetime of its handle, no matter what the log does
+// afterwards.
 //
 // Compaction (snapshots) is the mirror image at the front: runs fully
 // behind the snapshot line are unlinked (segments die when the last view
@@ -38,9 +44,8 @@
 // entry to the apply loop together with its segment's handle, and the KV
 // store keeps each value as a view into the entry's payload plus that
 // handle. Every replica of a PUT then aliases the one copy its shared
-// segment holds. A value pins exactly one segment, and no segment grows
-// with run length (a broadcast round, or a merged catch-up view of at most
-// one AppendEntries' 4096 entries), so the memory kept alive past
+// segment holds. A value pins exactly one segment, and a segment holds one
+// seal's worth of entries (a broadcast round), so the memory kept alive past
 // compaction is bounded by live keys x the largest segment.
 //
 // The log is also the durable one: raft::Storage owns it and marks how far
@@ -48,6 +53,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <memory>
 #include <vector>
 
@@ -56,29 +62,85 @@
 
 namespace dyna::raft {
 
-/// Immutable, ref-counted run of contiguous log entries. `first_index` is the
-/// Raft index of entries()[0]; entries are never mutated after construction.
+class LogSegment;
+using SegmentHandle = std::shared_ptr<const LogSegment>;
+
+/// `count` entries of the plain segment `seg`, holding log positions
+/// [first, first + count). Segments are index-aligned (an entry's position
+/// in its segment follows from its Raft index), so no offset is kept. A log
+/// run and one slice of a spliced segment are both this.
+struct LogSlice {
+  SegmentHandle seg;
+  LogIndex first = 0;
+  std::uint32_t count = 0;
+
+  [[nodiscard]] LogIndex last_index() const noexcept { return first + count - 1; }
+};
+
+/// Immutable, ref-counted run of contiguous log entries. A plain segment owns
+/// its entries (never none); `first_index` is the Raft index of its first
+/// entry and the entries are never mutated after construction. A spliced
+/// segment (SplicedSegment below) owns no entries: it lists the slices of
+/// plain segments that one EntryView spans.
 class LogSegment {
  public:
   LogSegment(LogIndex first_index, std::vector<LogEntry> entries)
       : first_(first_index), entries_(std::move(entries)) {
-    DYNA_EXPECTS(first_ >= 1);
+    DYNA_EXPECTS(first_ >= 1 && !entries_.empty());
   }
 
   [[nodiscard]] LogIndex first_index() const noexcept { return first_; }
-  [[nodiscard]] LogIndex last_index() const noexcept { return first_ + entries_.size() - 1; }
-  [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
+  [[nodiscard]] LogIndex last_index() const noexcept;
+  [[nodiscard]] bool spliced() const noexcept { return entries_.empty(); }
+
+  /// Plain segments only: the entries, and the one at Raft index `index`.
   [[nodiscard]] const LogEntry* data() const noexcept { return entries_.data(); }
+  [[nodiscard]] const LogEntry& entry(LogIndex index) const noexcept {
+    return entries_[static_cast<std::size_t>(index - first_)];
+  }
+
+  /// Spliced segments only: the slice holding Raft index `index`.
+  [[nodiscard]] const LogSlice& slice_at(LogIndex index) const noexcept;
+
+ protected:
+  explicit LogSegment(LogIndex first_index) : first_(first_index) {}
 
  private:
   LogIndex first_;
   std::vector<LogEntry> entries_;
 };
 
-using SegmentHandle = std::shared_ptr<const LogSegment>;
+/// The slice list of a view that spans several runs: contiguous, ascending
+/// slices of plain segments. A derived type, so that a plain segment — one
+/// per broadcast round — carries no empty slice vector. RaftLog::view makes
+/// it with make_shared, whose control block destroys it as itself, so the
+/// base needs no virtual destructor.
+class SplicedSegment final : public LogSegment {
+ public:
+  explicit SplicedSegment(std::vector<LogSlice> slices)
+      : LogSegment(slices.front().first), slices_(std::move(slices)) {}
 
-/// Cheap shared view over a contiguous span of log entries inside one
-/// segment: a handle plus (first index, count). Copying a view bumps a
+  [[nodiscard]] const std::vector<LogSlice>& slices() const noexcept { return slices_; }
+
+ private:
+  std::vector<LogSlice> slices_;
+};
+
+inline LogIndex LogSegment::last_index() const noexcept {
+  if (spliced()) return static_cast<const SplicedSegment*>(this)->slices().back().last_index();
+  return first_ + entries_.size() - 1;
+}
+
+inline const LogSlice& LogSegment::slice_at(LogIndex index) const noexcept {
+  const auto& slices = static_cast<const SplicedSegment*>(this)->slices();
+  const auto it = std::upper_bound(slices.begin(), slices.end(), index,
+                                   [](LogIndex i, const LogSlice& s) { return i < s.first; });
+  return *(it - 1);
+}
+
+/// Cheap shared view over a contiguous span of log entries: a handle plus
+/// (offset, count). The handle is a plain segment when the span lies in one,
+/// or a spliced segment listing the slices it covers. Copying a view bumps a
 /// reference count; the entries themselves are never copied. This is what
 /// AppendEntries carries on the wire instead of a std::vector<LogEntry>.
 class EntryView {
@@ -108,13 +170,10 @@ class EntryView {
   [[nodiscard]] std::size_t size() const noexcept { return count_; }
   [[nodiscard]] bool empty() const noexcept { return count_ == 0; }
 
-  [[nodiscard]] const LogEntry* begin() const noexcept {
-    return count_ == 0 ? nullptr : segment_->data() + offset_;
-  }
-  [[nodiscard]] const LogEntry* end() const noexcept { return begin() + count_; }
-
   [[nodiscard]] const LogEntry& operator[](std::size_t i) const noexcept {
-    return segment_->data()[offset_ + i];
+    const LogIndex index = first_index() + i;
+    if (!segment_->spliced()) return segment_->entry(index);
+    return segment_->slice_at(index).seg->entry(index);
   }
 
   [[nodiscard]] LogIndex first_index() const noexcept {
@@ -124,13 +183,27 @@ class EntryView {
     return count_ == 0 ? 0 : first_index() + count_ - 1;
   }
 
-  /// Backing segment (RaftLog::append_view adopts it; empty views have none).
+  /// Backing segment: plain or spliced (empty views have none).
   [[nodiscard]] const SegmentHandle& segment() const noexcept { return segment_; }
 
-  /// Content equality (element-wise); identity of the backing segment is
-  /// irrelevant — a materialized copy and a shared view compare equal.
-  friend bool operator==(const EntryView& a, const EntryView& b) {
-    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  /// Invoke fn(segment, first, count) for each plain-segment slice of the
+  /// view in index order: once for a view inside one segment, once per
+  /// covered slice for a spliced one.
+  template <typename Fn>
+  void for_each_slice(Fn&& fn) const {
+    if (count_ == 0) return;
+    const LogIndex first = first_index();
+    const LogIndex last = last_index();
+    if (!segment_->spliced()) {
+      fn(segment_, first, std::size_t{count_});
+      return;
+    }
+    for (const LogSlice* s = &segment_->slice_at(first);; ++s) {
+      const LogIndex lo = std::max(first, s->first);
+      const LogIndex hi = std::min(last, s->last_index());
+      fn(s->seg, lo, static_cast<std::size_t>(hi - lo + 1));
+      if (hi == last) return;
+    }
   }
 
  private:
@@ -138,6 +211,10 @@ class EntryView {
   std::uint32_t offset_ = 0;
   std::uint32_t count_ = 0;
 };
+
+// A view is one handle wide whatever it spans: it rides inside every
+// AppendEntries, so its size is the wire message's.
+static_assert(sizeof(EntryView) == sizeof(SegmentHandle) + 2 * sizeof(std::uint32_t));
 
 /// The Raft log proper: sealed immutable runs + open tail. Indices are
 /// 1-based and contiguous from first_index() to last_index(); a snapshot
@@ -168,8 +245,7 @@ class RaftLog {
   [[nodiscard]] const LogEntry& entry(LogIndex index) const {
     DYNA_EXPECTS(index >= first_index() && index <= last_index());
     if (index >= tail_first_) return tail_[static_cast<std::size_t>(index - tail_first_)];
-    const Run& run = run_containing(index);
-    return run.seg->data()[run.offset + (index - run.first)];
+    return run_containing(index).seg->entry(index);
   }
 
   /// 0-based access (container idiom; entry i has Raft index i+1; only
@@ -193,23 +269,31 @@ class RaftLog {
     tail_.push_back(std::move(e));
   }
 
-  /// Adopt a replicated view wholesale: the view's segment is spliced into
-  /// this log's run chain by reference. The receive-side equivalent of
+  /// Adopt a replicated view by reference: each plain-segment slice it
+  /// covers becomes a run of this log, or extends the last run when it
+  /// continues that run in the same segment. The receive-side equivalent of
   /// view() — the follower's copy of the replicated suffix IS the leader's
-  /// segment, so the cluster holds one materialization of the bulk log.
+  /// segments, so the cluster holds one materialization of the bulk log. A
+  /// spliced view is flattened: its slice list is never adopted itself.
   /// Precondition: the view starts exactly at this log's next index.
   void append_view(const EntryView& v) {
     if (v.empty()) return;
     DYNA_EXPECTS(v.first_index() == last_index() + 1);
     seal_tail();
-    runs_.push_back(Run{v.segment(),
-                        static_cast<std::uint32_t>(v.first_index() - v.segment()->first_index()),
-                        static_cast<std::uint32_t>(v.size()), v.first_index()});
+    v.for_each_slice([&](const SegmentHandle& seg, LogIndex first, std::size_t count) {
+      const auto n = static_cast<std::uint32_t>(count);
+      if (!runs_.empty() && runs_.back().seg == seg && runs_.back().last_index() + 1 == first) {
+        runs_.back().count += n;
+      } else {
+        runs_.push_back(LogSlice{seg, first, n});
+      }
+    });
     tail_first_ = v.last_index() + 1;
   }
 
-  /// Remove all entries with index >= first_removed. Copy-on-write: views
-  /// handed out earlier keep their (now superseded) segments alive. The
+  /// Remove all entries with index >= first_removed. Nothing is copied:
+  /// whole runs past the cut are dropped and a straddling run is shortened,
+  /// while views handed out earlier keep their segments alive. The
   /// compacted prefix is committed state and can never be cut.
   void truncate_from(LogIndex first_removed) {
     DYNA_EXPECTS(first_removed > compacted_to_);
@@ -219,21 +303,15 @@ class RaftLog {
       return;
     }
     // The cut lands in sealed territory: the whole open tail goes, then
-    // whole runs past the cut.
+    // whole runs past the cut, and a straddling run ends before it.
     tail_.clear();
     while (!runs_.empty() && runs_.back().first >= first_removed) {
       runs_.pop_back();
     }
     if (!runs_.empty() && runs_.back().last_index() >= first_removed) {
-      // Straddling run: its surviving prefix becomes the new open tail.
-      const Run run = runs_.back();
-      runs_.pop_back();
-      tail_first_ = run.first;
-      tail_.assign(run.seg->data() + run.offset,
-                   run.seg->data() + run.offset + (first_removed - run.first));
-    } else {
-      tail_first_ = first_removed;
+      runs_.back().count = static_cast<std::uint32_t>(first_removed - runs_.back().first);
     }
+    tail_first_ = first_removed;
     hint_ = 0;
   }
 
@@ -252,10 +330,8 @@ class RaftLog {
     while (drop < runs_.size() && runs_[drop].last_index() <= c) ++drop;
     runs_.erase(runs_.begin(), runs_.begin() + static_cast<std::ptrdiff_t>(drop));
     if (!runs_.empty() && runs_.front().first <= c) {
-      Run& r = runs_.front();
-      const auto skip = static_cast<std::uint32_t>(c + 1 - r.first);
-      r.offset += skip;
-      r.count -= skip;
+      LogSlice& r = runs_.front();
+      r.count -= static_cast<std::uint32_t>(c + 1 - r.first);
       r.first = c + 1;
     }
     compacted_to_ = c;
@@ -283,9 +359,9 @@ class RaftLog {
     DYNA_EXPECTS(first >= first_index() && last <= last_index());
     LogIndex i = first;
     while (i <= last && i < tail_first_) {
-      const Run& run = run_containing(i);
+      const LogSlice& run = run_containing(i);
       const LogIndex stop = std::min(last, run.last_index());
-      const LogEntry* p = run.seg->data() + run.offset + (i - run.first);
+      const LogEntry* p = &run.seg->entry(i);
       for (; i <= stop; ++i, ++p) fn(*p);
     }
     for (; i <= last; ++i) fn(tail_[static_cast<std::size_t>(i - tail_first_)]);
@@ -304,10 +380,10 @@ class RaftLog {
     if (last >= tail_first_) seal_tail();
     LogIndex i = first;
     while (i <= last) {
-      const Run& run = run_containing(i);
+      const LogSlice& run = run_containing(i);
       const SegmentHandle seg = run.seg;
       const LogIndex stop = std::min(last, run.last_index());
-      const LogEntry* p = seg->data() + run.offset + (i - run.first);
+      const LogEntry* p = &seg->entry(i);
       for (; i <= stop; ++i, ++p) fn(*p, seg);
     }
   }
@@ -315,69 +391,65 @@ class RaftLog {
   /// Shared view over [first, first + count). Seals the open tail when the
   /// span reaches into it, so the common broadcast pattern — every follower
   /// asks for the same fresh suffix — materializes that suffix exactly once
-  /// (as a move) and then hands out reference-counted aliases.
+  /// (as a move) and then hands out reference-counted aliases. A span inside
+  /// one run allocates nothing; a span across runs (the catch-up of a
+  /// lagging follower) allocates one spliced segment listing the slices it
+  /// covers and copies no entry.
   [[nodiscard]] EntryView view(LogIndex first, std::size_t count) {
     if (count == 0) return {};
     DYNA_EXPECTS(first >= first_index() && first + count - 1 <= last_index());
     const LogIndex last = first + count - 1;
     if (last >= tail_first_) seal_tail();
-    const Run& run = run_containing(first);
-    if (run.last_index() >= last) {
+    std::size_t r = run_at(first);
+    if (runs_[r].last_index() >= last) {
       // Runs are always index-aligned with their segment (entry .index
       // fields are global), so a within-run span shares directly.
-      DYNA_ASSERT(run.first - run.offset == run.seg->first_index());
-      return EntryView(run.seg, first, count);
+      return EntryView(runs_[r].seg, first, count);
     }
-    // Span crosses run boundaries (deep catch-up of a lagging follower):
-    // materialize once for this request.
-    std::vector<LogEntry> merged;
-    merged.reserve(count);
-    for (LogIndex i = first; i <= last; ++i) merged.push_back(entry(i));
-    return EntryView(std::make_shared<const LogSegment>(first, std::move(merged)), first,
-                     count);
+    std::vector<LogSlice> slices;
+    for (LogIndex i = first; i <= last; ++r) {
+      const LogSlice& run = runs_[r];
+      const LogIndex stop = std::min(last, run.last_index());
+      slices.push_back(LogSlice{run.seg, i, static_cast<std::uint32_t>(stop - i + 1)});
+      i = stop + 1;
+    }
+    return EntryView(std::make_shared<const SplicedSegment>(std::move(slices)), first, count);
   }
 
   /// Number of sealed runs (introspection / tests).
   [[nodiscard]] std::size_t sealed_runs() const noexcept { return runs_.size(); }
 
  private:
-  /// One sealed slice: `count` entries of `seg` starting at `offset`,
-  /// holding log positions [first, first + count).
-  struct Run {
-    SegmentHandle seg;
-    std::uint32_t offset = 0;
-    std::uint32_t count = 0;
-    LogIndex first = 0;
-
-    [[nodiscard]] LogIndex last_index() const noexcept { return first + count - 1; }
-  };
-
   void seal_tail() {
     if (tail_.empty()) return;
     const std::uint32_t n = static_cast<std::uint32_t>(tail_.size());
-    runs_.push_back(Run{std::make_shared<const LogSegment>(tail_first_, std::move(tail_)), 0,
-                        n, tail_first_});
+    runs_.push_back(LogSlice{std::make_shared<const LogSegment>(tail_first_, std::move(tail_)),
+                             tail_first_, n});
     tail_first_ += n;
     tail_.clear();  // moved-from: make the empty state explicit
   }
 
-  [[nodiscard]] const Run& run_containing(LogIndex index) const {
+  /// Position in runs_ of the run holding `index`.
+  [[nodiscard]] std::size_t run_at(LogIndex index) const {
     // Raft's sealed-territory reads cluster on recently written runs (apply
     // loop, prev-entry term checks), so try the remembered run first and
     // fall back to binary search.
     if (hint_ < runs_.size()) {
-      const Run& h = runs_[hint_];
-      if (h.first <= index && index <= h.last_index()) return h;
+      const LogSlice& h = runs_[hint_];
+      if (h.first <= index && index <= h.last_index()) return hint_;
     }
     const auto it =
         std::upper_bound(runs_.begin(), runs_.end(), index,
-                         [](LogIndex i, const Run& r) { return i < r.first; });
+                         [](LogIndex i, const LogSlice& r) { return i < r.first; });
     DYNA_ASSERT(it != runs_.begin());
     hint_ = static_cast<std::size_t>((it - 1) - runs_.begin());
-    return *(it - 1);
+    return hint_;
+  }
+  [[nodiscard]] const LogSlice& run_containing(LogIndex index) const {
+    return runs_[run_at(index)];
   }
 
-  std::vector<Run> runs_;       ///< contiguous, ascending, non-empty
+  std::vector<LogSlice> runs_;  ///< plain-segment slices: contiguous, ascending, non-empty
   std::vector<LogEntry> tail_;  ///< open run after the last sealed slice
   LogIndex tail_first_ = 1;     ///< Raft index of tail_[0]
   LogIndex compacted_to_ = 0;   ///< snapshot line: entries <= this are gone

@@ -141,7 +141,9 @@ enum class MsgKind : std::uint8_t {
 /// visit for other reasons) don't pay a second variant dispatch.
 [[nodiscard]] inline std::size_t approx_size(const AppendEntriesRequest& r) {
   std::size_t s = 64;
-  for (const auto& e : r.entries) s += 48 + e.command.payload.size();
+  r.entries.for_each_slice([&](const SegmentHandle& seg, LogIndex first, std::size_t count) {
+    for (LogIndex i = first; i < first + count; ++i) s += 48 + seg->entry(i).command.payload.size();
+  });
   return s;
 }
 [[nodiscard]] inline std::size_t approx_size(const AppendEntriesResponse&) { return 64; }

@@ -618,11 +618,10 @@ void RaftNode::apply_committed() {
   // Walk [last_applied_+1, commit_index_] as contiguous runs of sealed
   // segments, handing the hook each entry's segment (zero-copy apply). The
   // range is usually sealed already — the broadcast that replicated it
-  // sealed it — except on a single-voter leader, after the entry-by-entry
-  // append fallback and in restart replay; there the open tail is sealed
-  // first (a move). Applying an entry cannot re-enter the log or move
-  // commit_index_ synchronously (sends only schedule events), so one pass
-  // per call suffices.
+  // sealed it — except on a single-voter leader and in restart replay;
+  // there the open tail is sealed first (a move). Applying an entry cannot
+  // re-enter the log or move commit_index_ synchronously (sends only
+  // schedule events), so one pass per call suffices.
   if (last_applied_ >= commit_index_) return;
   const LogIndex from = last_applied_ + 1;
   const LogIndex to = commit_index_;
@@ -814,28 +813,26 @@ void RaftNode::on_append_entries(NodeId from, const AppendEntriesRequest& req) {
   } else {
     if (!req.entries.empty() && req.entries.first_index() == last_log_index() + 1) {
       // Pure append (the steady-state case): adopt the leader's immutable
-      // segment by reference — the follower's copy of this suffix IS the
+      // segments by reference — the follower's copy of this suffix IS the
       // leader's materialization, shared cluster-wide.
       log_.append_view(req.entries);
       persist_append();
     } else {
-      // Overlap with what we already hold: append genuinely new entries,
-      // truncating on divergence, entry by entry.
-      for (const LogEntry& entry : req.entries) {
-        if (entry.index <= log_.compacted_to()) continue;  // behind the snapshot
-        if (entry.index <= last_log_index()) {
-          if (term_at(entry.index) != entry.term) {
-            storage_->truncate_from(entry.index);
-            log_.append(entry);
-            persist_append();
+      // Overlap with what we already hold: skip the entries we have, cut at
+      // the first divergence, and adopt each new entry by reference as a
+      // one-entry slice of its segment, persisting it on its own.
+      req.entries.for_each_slice([&](const SegmentHandle& segment, LogIndex first,
+                                     std::size_t count) {
+        for (LogIndex i = first; i < first + count; ++i) {
+          if (i <= log_.compacted_to()) continue;  // behind the snapshot
+          if (i <= last_log_index()) {
+            if (term_at(i) == segment->entry(i).term) continue;  // a duplicate: skip
+            storage_->truncate_from(i);
           }
-          // else: duplicate of what we already hold — skip.
-        } else {
-          DYNA_ASSERT(entry.index == last_log_index() + 1);
-          log_.append(entry);
+          log_.append_view(EntryView(segment, i, 1));
           persist_append();
         }
-      }
+      });
     }
     resp.success = true;
     resp.match_index = req.prev_log_index + req.entries.size();
@@ -1143,7 +1140,7 @@ std::optional<LogIndex> RaftNode::propose_config_change(ConfigChange kind, NodeI
 
 void RaftNode::seal_batch() {
   if (batch_acc_.empty() || role_ != Role::Leader) return;
-  batch_acc_bytes_ = 0;
+  const std::size_t frame_bytes = std::exchange(batch_acc_bytes_, 0);
   if (batch_acc_.size() == 1) {
     // A batch of one gains nothing from the frame: submit it as a plain
     // entry with the ordinary single-client routing (and keep the batch
@@ -1161,6 +1158,7 @@ void RaftNode::seal_batch() {
   ++batches_sealed_;
   batched_commands_ += batch_acc_.size();
   std::string frame;
+  frame.reserve(1 + frame_bytes);  // the tag plus every member's overhead: exact
   BatchRoute route;
   route.members.reserve(batch_acc_.size());
   for (PendingCommand& pc : batch_acc_) {

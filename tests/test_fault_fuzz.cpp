@@ -141,7 +141,7 @@ TEST(FaultFuzz, SoakOf200SchedulesHoldsEveryInvariant) {
   EXPECT_TRUE(results == replay) << "soak is not reproducible across threads/substrates";
 }
 
-TEST(FaultFuzz, CrossOfThreadsAndSubstrateReuseIsBitIdentical) {
+TEST(FaultFuzz, MutatedSoakIsBitIdenticalAcrossThreadCounts) {
   // The thread axis only: a mutate hook builds every trial fresh whatever
   // reuse_substrate says, so reuse legs would repeat these sweeps. The soak
   // above compares a reuse sweep at 8 threads with fresh construction at 1.

@@ -111,15 +111,18 @@ raft::LogEntry entry_of(raft::Term term, raft::LogIndex index, std::string paylo
 }
 
 /// Randomized append/truncate/view/adopt script: a RaftLog ("shared-view
-/// path") against a plain std::vector<LogEntry> ("copying path"). After
-/// every step the two must agree entry-for-entry, and every view taken —
-/// including views whose suffix is later truncated away — must keep
-/// matching the copy that was current when the view was taken.
+/// path") against a plain std::vector<LogEntry> ("copying path"), and a
+/// follower log that adopts the leader log's views against its own copy.
+/// After every step each log must agree with its copy entry-for-entry, and
+/// every view taken — including views whose suffix is later truncated away
+/// — must keep matching the copy that was current when the view was taken.
 TEST(SharedViewExactness, RandomizedScriptMatchesCopyingPath) {
   for (const std::uint64_t seed : {11ULL, 22ULL, 33ULL}) {
     Rng rng(seed);
     raft::RaftLog log;
     std::vector<raft::LogEntry> ref;  // the copying path
+    raft::RaftLog follower;
+    std::vector<raft::LogEntry> follower_ref;
     raft::Term term = 1;
 
     struct TakenView {
@@ -156,31 +159,35 @@ TEST(SharedViewExactness, RandomizedScriptMatchesCopyingPath) {
         ASSERT_EQ(v.size(), copy.size());
         taken.push_back({std::move(v), std::move(copy)});
       } else {
-        // Catch-up adoption: a fresh suffix view appended to a second log
-        // must land the same entries a copying follower would hold.
-        const std::size_t count = 1 + rng.uniform_index(3);
-        for (std::size_t b = 0; b < count; ++b) {
-          auto e = entry_of(term, ref.size() + 1, "a" + std::to_string(step));
-          ref.push_back(e);
-          log.append(std::move(e));
+        // Catch-up adoption: the follower cuts a random suffix, often inside
+        // a run it adopted earlier, then adopts a view of the leader log
+        // that may span several runs. It must land the same entries a
+        // copying follower would hold, as the leader's entries themselves.
+        const raft::LogIndex cut =
+            1 + rng.uniform_index(std::min(follower_ref.size() + 1, ref.size()));
+        follower.truncate_from(cut);
+        follower_ref.resize(cut - 1);
+        const std::size_t count = 1 + rng.uniform_index(ref.size() - cut + 1);
+        raft::EntryView v = log.view(cut, count);
+        follower.append_view(v);
+        const auto from = ref.begin() + static_cast<std::ptrdiff_t>(cut - 1);
+        std::vector<raft::LogEntry> copy(from, from + static_cast<std::ptrdiff_t>(count));
+        follower_ref.insert(follower_ref.end(), copy.begin(), copy.end());
+        for (raft::LogIndex i = cut; i < cut + count; ++i) {
+          ASSERT_EQ(&follower.entry(i), &log.entry(i)) << "step " << step << " index " << i;
         }
-        raft::EntryView suffix = log.view(ref.size() - count + 1, count);
-        raft::RaftLog follower;
-        // Bring the follower level, then adopt the shared suffix.
-        for (std::size_t i = 0; i < ref.size() - count; ++i) {
-          follower.append(ref[i]);
-        }
-        follower.append_view(suffix);
-        ASSERT_EQ(follower.size(), ref.size());
-        for (std::size_t i = 0; i < ref.size(); ++i) {
-          ASSERT_EQ(follower[i], ref[i]) << "adopted log diverged at " << i;
-        }
+        taken.push_back({std::move(v), std::move(copy)});
       }
 
-      // The log must equal the copying path after every step.
+      // Both logs must equal their copying paths after every step.
       ASSERT_EQ(log.size(), ref.size()) << "step " << step;
       for (std::size_t i = 0; i < ref.size(); ++i) {
         ASSERT_EQ(log[i], ref[i]) << "step " << step << " index " << i;
+      }
+      ASSERT_EQ(follower.size(), follower_ref.size()) << "step " << step;
+      for (std::size_t i = 0; i < follower_ref.size(); ++i) {
+        ASSERT_EQ(follower[i], follower_ref[i]) << "adopted log diverged at step " << step
+                                                << " index " << i;
       }
     }
 

@@ -122,6 +122,51 @@ TEST(Replication, PausedFollowerCatchesUpOnResume) {
   EXPECT_EQ(c.state_machine(lagger).size(), 50u);
 }
 
+/// Entries of `follower` that are the leader's own entries (same address),
+/// over the leader's whole log.
+std::size_t shared_entries(Cluster& c, NodeId follower, NodeId leader) {
+  std::size_t shared = 0;
+  const raft::LogIndex last = c.node(leader).last_log_index();
+  for (raft::LogIndex i = 1; i <= last && i <= c.node(follower).last_log_index(); ++i) {
+    if (&c.node(follower).log().entry(i) == &c.node(leader).log().entry(i)) ++shared;
+  }
+  return shared;
+}
+
+TEST(Replication, CutOffFollowerCatchesUpOnTheLeadersSegments) {
+  // A cut link drops the follower's traffic instead of parking it, so the
+  // leader commits over many broadcast rounds, one segment each, without
+  // it. After the heal one AppendEntries spans those rounds' runs, and the
+  // follower adopts the slices it lists: every entry it holds is the
+  // leader's entry, not a copy of it.
+  Cluster c(cluster::make_raft_config(5, 5));
+  ASSERT_TRUE(c.await_leader(30s));
+  const NodeId leader = c.current_leader();
+  const NodeId lagger = leader == 0 ? 1 : 0;
+  auto cut = [&](bool blocked) {
+    for (const NodeId id : c.server_ids()) {
+      if (id == lagger) continue;
+      c.network().set_blocked(id, lagger, blocked);
+      c.network().set_blocked(lagger, id, blocked);
+    }
+  };
+  cut(true);
+  for (int i = 0; i < 50; ++i) {
+    ASSERT_TRUE(c.node(leader).submit(make_cmd("k" + std::to_string(i), "v")).has_value());
+    c.sim().run_for(20ms);
+  }
+  c.sim().run_for(1s);
+  ASSERT_GE(c.node(leader).log().sealed_runs(), 10u);
+  EXPECT_LT(c.node(lagger).commit_index(), c.node(leader).commit_index());
+  cut(false);
+  c.sim().run_for(5s);
+  ASSERT_TRUE(c.node(leader).is_leader());
+  ASSERT_EQ(c.node(lagger).last_log_index(), c.node(leader).last_log_index());
+  EXPECT_EQ(c.node(lagger).commit_index(), c.node(leader).commit_index());
+  EXPECT_EQ(c.state_machine(lagger).size(), 50u);
+  EXPECT_EQ(shared_entries(c, lagger, leader), c.node(leader).last_log_index());
+}
+
 TEST(Replication, DivergentUncommittedEntriesAreTruncated) {
   // Partition the leader with one follower; its appends cannot commit. The
   // majority side elects a new leader and commits different entries. On heal
@@ -174,11 +219,15 @@ TEST(Replication, DivergentUncommittedEntriesAreTruncated) {
   set_partition(false);
   c.sim().run_for(10s);
 
-  // Everyone converges on the new leader's log; stale entries are gone.
+  // Everyone converges on the new leader's log; stale entries are gone. The
+  // minority truncated its stale suffix and adopted the new leader's entries
+  // themselves, not copies of them.
   for (const NodeId id : c.server_ids()) {
     EXPECT_EQ(c.node(id).log().size(), c.node(new_leader).log().size()) << "node " << id;
     EXPECT_EQ(c.state_machine(id).data().count("stale0"), 0u) << "node " << id;
     EXPECT_EQ(c.state_machine(id).data().at("fresh0"), "y") << "node " << id;
+    EXPECT_EQ(shared_entries(c, id, new_leader), c.node(new_leader).last_log_index())
+        << "node " << id;
   }
 }
 
