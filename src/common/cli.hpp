@@ -1,7 +1,9 @@
 // Tiny `--key=value` command-line parser shared by benches and examples.
 //
 // Deliberately minimal: experiments need a handful of overridable knobs
-// (seed, trial count, output path), not a full CLI framework.
+// (seed, trial count, output path), not a full CLI framework. A `--key` the
+// program never reads is named on stderr when the parser goes out of scope,
+// so a misspelt flag does not run silently with the default.
 #pragma once
 
 #include <cstdint>
@@ -25,9 +27,9 @@ class Cli {
       arg.remove_prefix(2);
       const auto eq = arg.find('=');
       if (eq == std::string_view::npos) {
-        kv_[std::string(arg)] = "true";
+        kv_[std::string(arg)].value = "true";
       } else {
-        kv_[std::string(arg.substr(0, eq))] = std::string(arg.substr(eq + 1));
+        kv_[std::string(arg.substr(0, eq))].value = std::string(arg.substr(eq + 1));
       }
     }
     if (const char* scale = std::getenv("DYNA_BENCH_SCALE")) {
@@ -36,10 +38,23 @@ class Cli {
     }
   }
 
+  Cli(const Cli&) = delete;
+  Cli& operator=(const Cli&) = delete;
+
+  /// One warning line on stderr per `--key` that no get, get_or, get_sizes
+  /// or flag call read.
+  ~Cli() {
+    for (const auto& [key, arg] : kv_) {
+      if (!arg.read) std::fprintf(stderr, "warning: --%s was given but never read\n", key.c_str());
+    }
+  }
+
+  /// The value of `--key`, marking it read; every other accessor goes through here.
   [[nodiscard]] std::optional<std::string> get(const std::string& key) const {
     const auto it = kv_.find(key);
     if (it == kv_.end()) return std::nullopt;
-    return it->second;
+    it->second.read = true;
+    return it->second.value;
   }
 
   [[nodiscard]] std::string get_or(const std::string& key, std::string def) const {
@@ -107,7 +122,12 @@ class Cli {
   }
 
  private:
-  std::map<std::string, std::string> kv_;
+  struct Arg {
+    std::string value;
+    mutable bool read = false;
+  };
+
+  std::map<std::string, Arg> kv_;
   double scale_ = 1.0;
 };
 

@@ -13,7 +13,7 @@ KvClient::KvClient(sim::Simulator& simulator, net::Network& network, std::vector
     on_message(from, payload);
   });
   target_ = servers_[rng_.uniform_index(servers_.size())];
-  pending_.resize(16);  // power of two; grows on in-flight window overflow
+  pending_.resize(1);  // power of two; doubles on in-flight window overflow
 }
 
 KvClient::~KvClient() {

@@ -1,17 +1,22 @@
-// The KV store's key index: an open-addressing hash table from key to Value.
+// The KV store's key index: an open-addressing hash table from key to value.
 //
 // Layout: a power-of-two array of one-byte control tags (0 = empty, otherwise
-// 0x80 | the hash's top 7 bits) and a parallel array of {key, value} slots,
-// 64 B each with libstdc++. A lookup hashes the key once, starts at the slot
-// the hash's low bits name and probes linearly; only a slot whose tag matches
-// costs a key compare, so a miss reads control bytes up to the first empty
-// one. Erase shifts the rest of the probe run back into the hole instead of
-// leaving a tombstone, so runs stay contiguous and no deleted key ever
-// lengthens a probe. The table doubles before its load would pass 7/8.
+// 0x80 | the hash's top 7 bits) and a parallel array of 32-byte slots. A
+// lookup hashes the key once, starts at the slot the hash's low bits name and
+// probes linearly; only a slot whose tag matches costs a key compare, so a
+// miss reads control bytes up to the first empty one. Erase shifts the rest
+// of the probe run back into the hole instead of leaving a tombstone, so runs
+// stay contiguous and no deleted key ever lengthens a probe. The table
+// doubles before its load would pass 7/8.
 //
-// Unlike a node-based std::unordered_map, no key costs a heap node: a key of
-// up to 15 bytes (libstdc++'s small-string buffer) and its value live in the
-// slot itself, and clear() destroys the slots in place, keeping both arrays.
+// A slot copies neither its key nor its value: both are views into bytes one
+// owner keeps alive (a committed PUT holds its key and value in one payload,
+// a snapshot blob holds every pair). The slot holds that owner once, as a
+// shared_ptr made with the aliasing constructor: the owner's control block,
+// pointing at the value bytes. The key lives exactly as long as the value
+// that pins it, so a write that replaces a slot's owner re-points the key at
+// the new owner's copy in the same step. No key costs a heap node, and
+// clear() destroys the slots in place, keeping both arrays.
 #pragma once
 
 #include <algorithm>
@@ -21,11 +26,13 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <ostream>
 #include <stdexcept>
-#include <string>
 #include <string_view>
 #include <utility>
+
+#include "common/check.hpp"
 
 namespace dyna::kv {
 
@@ -34,13 +41,14 @@ namespace dyna::kv {
 /// a committed entry lives in; a restore passes the Snapshot blob's handle.
 using Owner = std::shared_ptr<const void>;
 
-/// A stored value: a view of its bytes plus the owner that keeps them alive.
-/// 32 B on 64-bit targets, as big as a libstdc++ std::string. Every replica
-/// that applied the same committed PUT aliases the same bytes in the same
-/// immutable log segment.
+/// A stored value as the index hands it out: a view of its bytes and of the
+/// handle that pins them (an alias of the owner it was stored with, pointing
+/// at the bytes). Valid until its key is next written or erased. Every
+/// replica that applied the same committed PUT aliases the same bytes in the
+/// same immutable log segment.
 struct Value {
   std::string_view bytes;
-  Owner owner;
+  const std::shared_ptr<const char>& owner;
 
   /// Exact content equality. Values aliasing the same bytes (replicas that
   /// share a segment) compare in O(1); others fall back to a byte compare.
@@ -52,12 +60,13 @@ struct Value {
   friend std::ostream& operator<<(std::ostream& os, const Value& v) { return os << v.bytes; }
 };
 
-/// A private, immutable copy of `bytes` (one allocation) that is its own
-/// owner: what the entry points whose caller only lends the bytes alias.
-[[nodiscard]] inline Value share(std::string_view bytes) {
+/// A private, immutable copy of `bytes` (one allocation) and the owner that
+/// keeps it alive: what the entry points whose caller only lends the bytes
+/// apply from.
+[[nodiscard]] inline std::pair<std::string_view, Owner> share(std::string_view bytes) {
   auto buf = std::make_shared_for_overwrite<char[]>(bytes.size());
   std::copy(bytes.begin(), bytes.end(), buf.get());
-  return Value{std::string_view(buf.get(), bytes.size()), std::move(buf)};
+  return {std::string_view(buf.get(), bytes.size()), std::move(buf)};
 }
 
 class KeyIndex {
@@ -97,44 +106,46 @@ class KeyIndex {
   /// Slots allocated: 0 until the first insert, then a power of two >= 16.
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
 
-  /// The value stored under `key`, or nullptr.
-  [[nodiscard]] const Value* find(std::string_view key) const noexcept {
-    if (size_ == 0) return nullptr;
+  /// The value stored under `key`, if any.
+  [[nodiscard]] std::optional<Value> find(std::string_view key) const noexcept {
+    if (size_ == 0) return std::nullopt;
     const Probe p = probe(key, hash(key));
-    return p.found ? &slots_[p.index].value : nullptr;
-  }
-  [[nodiscard]] Value* find(std::string_view key) noexcept {
-    return const_cast<Value*>(std::as_const(*this).find(key));
+    if (!p.found) return std::nullopt;
+    return slots_[p.index].view();
   }
 
   [[nodiscard]] std::size_t count(std::string_view key) const noexcept {
-    return find(key) != nullptr ? 1 : 0;
+    return find(key).has_value() ? 1 : 0;
   }
 
   /// The value stored under `key`; throws std::out_of_range if there is none.
-  [[nodiscard]] const Value& at(std::string_view key) const {
-    const Value* v = find(key);
-    if (v == nullptr) throw std::out_of_range("KeyIndex::at: no such key");
+  [[nodiscard]] Value at(std::string_view key) const {
+    const auto v = find(key);
+    if (!v) throw std::out_of_range("KeyIndex::at: no such key");
     return *v;
   }
 
   /// Store `value` under `key` in one probe, releasing any value it replaces.
-  /// Returns true when the key is new.
-  bool insert_or_assign(std::string_view key, Value value) {
+  /// Both views must lie in bytes `owner` keeps alive: the slot keeps the
+  /// owner and copies neither. Returns true when the key is new.
+  bool insert_or_assign(std::string_view key, std::string_view value, Owner owner) {
+    DYNA_EXPECTS(key.size() <= kMaxBytes && value.size() <= kMaxBytes);
     const std::size_t h = hash(key);
     if (capacity_ != 0) {
       const Probe p = probe(key, h);
       if (p.found) {
-        slots_[p.index].value = std::move(value);
+        // A whole new slot, not just a new value: the old key's bytes belong
+        // to the owner this releases, so the key moves to the new owner too.
+        slots_[p.index] = Slot(key, value, std::move(owner));
         return false;
       }
       if (size_ < max_load()) {
-        place(p.index, h, key, std::move(value));
+        place(p.index, h, Slot(key, value, std::move(owner)));
         return true;
       }
     }
     grow();
-    place(probe(key, h).index, h, key, std::move(value));
+    place(probe(key, h).index, h, Slot(key, value, std::move(owner)));
     return true;
   }
 
@@ -148,7 +159,7 @@ class KeyIndex {
     // cyclically at or before the hole. The run then stays contiguous.
     std::size_t hole = p.index;
     for (std::size_t j = next(hole); ctrl_[j] != kEmpty; j = next(j)) {
-      const std::size_t home = hash(slots_[j].key) & mask();
+      const std::size_t home = hash(slots_[j].key()) & mask();
       if (((j - home) & mask()) >= ((j - hole) & mask())) {
         slots_[hole] = std::move(slots_[j]);
         ctrl_[hole] = ctrl_[j];
@@ -175,7 +186,7 @@ class KeyIndex {
   template <typename Fn>
   void for_each(Fn&& fn) const {
     for (std::size_t i = 0; i < capacity_; ++i) {
-      if (ctrl_[i] != kEmpty) fn(std::string_view(slots_[i].key), std::as_const(slots_[i].value));
+      if (ctrl_[i] != kEmpty) fn(slots_[i].key(), slots_[i].view());
     }
   }
 
@@ -185,21 +196,35 @@ class KeyIndex {
     if (a.size_ != b.size_) return false;
     for (std::size_t i = 0; i < a.capacity_; ++i) {
       if (a.ctrl_[i] == kEmpty) continue;
-      const Value* v = b.find(a.slots_[i].key);
-      if (v == nullptr || !(*v == a.slots_[i].value)) return false;
+      const auto v = b.find(a.slots_[i].key());
+      if (!v || !(*v == a.slots_[i].view())) return false;
     }
     return true;
   }
 
  private:
+  /// The key's address, both sizes, and the value's pin: an alias of the
+  /// owner pointing at the value bytes. The key lies in the same owner's
+  /// bytes, so the pin keeps it alive too.
   struct Slot {
-    Slot(std::string_view k, Value v) : key(k), value(std::move(v)) {}
+    Slot(std::string_view k, std::string_view v, Owner owner) noexcept
+        : key_data(k.data()),
+          key_size(static_cast<std::uint32_t>(k.size())),
+          value_size(static_cast<std::uint32_t>(v.size())),
+          value(std::move(owner), v.data()) {}
 
-    std::string key;
-    Value value;
+    [[nodiscard]] std::string_view key() const noexcept { return {key_data, key_size}; }
+    [[nodiscard]] Value view() const noexcept { return {{value.get(), value_size}, value}; }
+
+    const char* key_data;
+    std::uint32_t key_size;
+    std::uint32_t value_size;
+    std::shared_ptr<const char> value;
   };
-  static_assert(sizeof(Slot) <= 64);
+  static_assert(sizeof(Slot) == 32);
 
+  /// Largest key or value a slot's 32-bit sizes hold.
+  static constexpr std::size_t kMaxBytes = std::numeric_limits<std::uint32_t>::max();
   static constexpr std::uint8_t kEmpty = 0;
 
   struct Probe {
@@ -241,12 +266,12 @@ class KeyIndex {
     const std::uint8_t tag = tag_of(h);
     for (std::size_t i = h & mask();; i = next(i)) {
       if (ctrl_[i] == kEmpty) return {i, false};
-      if (ctrl_[i] == tag && slots_[i].key == key) return {i, true};
+      if (ctrl_[i] == tag && slots_[i].key() == key) return {i, true};
     }
   }
 
-  void place(std::size_t index, std::size_t h, std::string_view key, Value value) {
-    std::construct_at(slots_ + index, key, std::move(value));
+  void place(std::size_t index, std::size_t h, Slot slot) noexcept {
+    std::construct_at(slots_ + index, std::move(slot));
     ctrl_[index] = tag_of(h);
     ++size_;
   }
@@ -257,7 +282,7 @@ class KeyIndex {
     KeyIndex bigger(capacity_ == 0 ? kMinCapacity : 2 * capacity_);
     for (std::size_t i = 0; i < capacity_; ++i) {
       if (ctrl_[i] == kEmpty) continue;
-      const std::size_t h = hash(slots_[i].key);
+      const std::size_t h = hash(slots_[i].key());
       std::size_t j = h & bigger.mask();
       while (bigger.ctrl_[j] != kEmpty) j = bigger.next(j);
       std::construct_at(bigger.slots_ + j, std::move(slots_[i]));

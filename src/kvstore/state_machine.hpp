@@ -32,8 +32,8 @@ class StateMachine {
   /// Apply a payload the caller only lends for the call: it is copied once
   /// into a shared buffer, which then owns it.
   std::string apply(std::string_view payload) {
-    const Value copy = share(payload);
-    return apply(copy.bytes, copy.owner);
+    const auto [bytes, owner] = share(payload);
+    return apply(bytes, owner);
   }
 
   /// Serialize the full machine state. Must be deterministic: two replicas
@@ -48,8 +48,8 @@ class StateMachine {
 
   /// Restore from a lent blob: copied once into a shared buffer first.
   void restore(std::string_view blob) {
-    const Value copy = share(blob);
-    restore(copy.bytes, copy.owner);
+    const auto [bytes, owner] = share(blob);
+    restore(bytes, owner);
   }
 };
 
@@ -57,12 +57,12 @@ class StateMachine {
 /// semantics at the granularity the experiments need — the Op vocabulary is
 /// point ops only, so a hash index is observationally equivalent to etcd's
 /// ordered index and keeps apply O(1)). The apply path is zero-copy: commands
-/// decode to views, lookups take the key as a view, and a stored value
-/// aliases the payload it came from (kept alive by the owner apply() is
-/// handed), so replicating a PUT stream across a 65-node cluster neither
+/// decode to views, lookups take the key as a view, and a stored key and
+/// value alias the payload they came from (kept alive by the owner apply()
+/// is handed), so replicating a PUT stream across a 65-node cluster neither
 /// copies the value once per replica nor turns into an allocator benchmark.
-/// Keys live in a flat KeyIndex: a new key allocates only when it outgrows
-/// the small-string buffer or the table doubles.
+/// Keys live in a flat KeyIndex of 32-byte slots: a new key allocates only
+/// when the table doubles.
 class KvStateMachine final : public StateMachine {
  public:
   using StateMachine::apply;
@@ -86,13 +86,13 @@ class KvStateMachine final : public StateMachine {
   }
 
   /// Apply a single (non-batch) command payload the caller only lends: a
-  /// PUT or CAS, whose value the store keeps, copies it once into a shared
-  /// buffer first; GET and DEL store nothing and copy nothing.
+  /// PUT or CAS, whose key and value the store keeps, copies it once into a
+  /// shared buffer first; GET and DEL store nothing and copy nothing.
   std::string apply_one(std::string_view payload) {
     if (!payload.empty() && (payload.front() == static_cast<char>(Op::Put) ||
                              payload.front() == static_cast<char>(Op::Cas))) {
-      const Value copy = share(payload);
-      return apply_one(copy.bytes, copy.owner);
+      const auto [bytes, owner] = share(payload);
+      return apply_one(bytes, owner);
     }
     return apply_one(payload, nullptr);
   }
@@ -123,9 +123,9 @@ class KvStateMachine final : public StateMachine {
     return out;
   }
 
-  /// Values alias the blob (the restored store holds no copy of it). Keys
-  /// must be strictly increasing, as snapshot() writes them: a repeated key
-  /// would otherwise leave whichever value the index kept.
+  /// Keys and values alias the blob (the restored store holds no copy of
+  /// it). Keys must be strictly increasing, as snapshot() writes them: a
+  /// repeated key would otherwise leave whichever value the index kept.
   void restore(std::string_view blob, const Owner& owner) override {
     DYNA_EXPECTS(owner != nullptr);
     data_.clear();
@@ -143,7 +143,7 @@ class KvStateMachine final : public StateMachine {
       DYNA_EXPECTS(key.has_value() && value.has_value());
       DYNA_EXPECTS(previous < key);
       previous = key;
-      data_.insert_or_assign(*key, Value{*value, owner});
+      data_.insert_or_assign(*key, *value, owner);
     }
   }
 
@@ -169,7 +169,7 @@ class KvStateMachine final : public StateMachine {
 
  private:
   /// Apply a single (non-batch) command whose bytes `owner` keeps alive: a
-  /// stored value aliases the payload instead of copying it.
+  /// stored key and value alias the payload instead of copying it.
   std::string apply_one(std::string_view payload, const Owner& owner) {
     const auto cmd = decode_view(payload);
     if (!cmd) return "ERR malformed";
@@ -177,12 +177,12 @@ class KvStateMachine final : public StateMachine {
       case Op::Put: {
         DYNA_EXPECTS(owner != nullptr);
         ++revision_;
-        data_.insert_or_assign(cmd->key, Value{cmd->value, owner});
+        data_.insert_or_assign(cmd->key, cmd->value, owner);
         return ok_result(revision_);
       }
       case Op::Get: {
-        const Value* value = data_.find(cmd->key);
-        return value == nullptr ? "(nil)" : std::string(value->bytes);
+        const auto value = data_.find(cmd->key);
+        return value ? std::string(value->bytes) : "(nil)";
       }
       case Op::Del: {
         if (!data_.erase(cmd->key)) return "(nil)";
@@ -191,10 +191,12 @@ class KvStateMachine final : public StateMachine {
       }
       case Op::Cas: {
         DYNA_EXPECTS(owner != nullptr);
-        Value* value = data_.find(cmd->key);
-        if (value != nullptr && *value == cmd->expected) {
+        const auto value = data_.find(cmd->key);
+        if (value && *value == cmd->expected) {
           ++revision_;
-          *value = Value{cmd->value, owner};
+          // Through insert_or_assign, not an assignment to the value alone:
+          // the stored key lies in the old payload, so it moves too.
+          data_.insert_or_assign(cmd->key, cmd->value, owner);
           return ok_result(revision_);
         }
         return "FAIL";

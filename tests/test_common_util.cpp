@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/cli.hpp"
 #include "common/csv.hpp"
@@ -53,6 +55,27 @@ TEST(Cli, IgnoresNonDashArguments) {
   Cli cli(3, const_cast<char**>(argv));
   EXPECT_EQ(cli.get_or("a", std::int64_t{0}), 1);
   EXPECT_FALSE(cli.get("positional").has_value());
+}
+
+TEST(Cli, NamesEachFlagThatWasNeverRead) {
+  const char* argv[] = {"prog", "--sed=7", "--seconds=3", "--quiet", "--sizes=5,17",
+                        "--rate=2.5", "--name=x", "--raw=y", "--verbose=0"};
+  ::testing::internal::CaptureStderr();
+  {
+    Cli cli(9, const_cast<char**>(argv));
+    EXPECT_EQ(cli.get_or("seed", std::int64_t{42}), 42);  // the misspelt --sed is not it
+    EXPECT_EQ(cli.get_or("seconds", std::int64_t{0}), 3);
+    EXPECT_EQ(cli.get_sizes("sizes", {}), (std::vector<std::size_t>{5, 17}));
+    EXPECT_DOUBLE_EQ(cli.get_or("rate", 0.0), 2.5);
+    EXPECT_EQ(cli.get_or("name", std::string()), "x");
+    EXPECT_EQ(cli.get("raw"), "y");
+    EXPECT_FALSE(cli.flag("verbose"));
+    EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");  // nothing until it goes
+    ::testing::internal::CaptureStderr();
+  }
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(),
+            "warning: --quiet was given but never read\n"
+            "warning: --sed was given but never read\n");
 }
 
 TEST(Cli, ScaledKeepsMinimumOfOne) {

@@ -1,7 +1,8 @@
-// KV command codec and state machine semantics, including zero-copy values:
-// a stored value aliases the payload (or snapshot blob) it came from under
-// the owner handed to apply/restore, and the owner-less entry points copy
-// what they store once so a caller may free its buffer right after the call.
+// KV command codec and state machine semantics, including zero-copy storage:
+// a stored key and value alias the payload (or snapshot blob) they came from
+// under the owner handed to apply/restore, and the owner-less entry points
+// copy what they store once so a caller may free its buffer right after the
+// call. A write that replaces a key's owner must move the key along with it.
 // The key index is checked against std::unordered_map op by op.
 #include <gtest/gtest.h>
 
@@ -168,17 +169,57 @@ void scribble_and_free(std::string& buf) {
   std::string().swap(buf);
 }
 
+/// A stored value's pin is an alias pointing at the value bytes, so it is
+/// matched to its owner by control block, not by address.
+bool same_owner(const std::shared_ptr<const char>& pin, const Owner& owner) {
+  return !pin.owner_before(owner) && !owner.owner_before(pin);
+}
+
+/// `bytes` lies inside `buffer`. Compares addresses only, so a view into a
+/// freed buffer is a plain failure, not a read of freed memory.
+bool inside(std::string_view bytes, const std::string& buffer) {
+  const std::less_equal<const char*> le;
+  return le(buffer.data(), bytes.data()) &&
+         le(bytes.data() + bytes.size(), buffer.data() + buffer.size());
+}
+
+/// A committed payload under its own owner, as a log segment holds one.
+using Payload = std::shared_ptr<const std::string>;
+
+Payload payload_of(const KvCommand& cmd) { return std::make_shared<const std::string>(encode(cmd)); }
+
+/// Every stored value is pinned by one of `live`, and its key and bytes lie
+/// inside that payload. A key left pointing into a released payload fails
+/// here in any build, not only under ASan.
+::testing::AssertionResult pairs_inside_owners(const KvStateMachine& sm,
+                                               const std::vector<Payload>& live) {
+  std::string stray;
+  sm.data().for_each([&](std::string_view key, const Value& value) {
+    if (!stray.empty()) return;
+    const auto owner = std::find_if(live.begin(), live.end(),
+                                    [&](const Payload& p) { return same_owner(value.owner, p); });
+    if (owner == live.end()) {
+      stray = "a value pinned by no live payload";
+    } else if (!inside(key, **owner) || !inside(value.bytes, **owner)) {
+      stray = "a key or value outside the payload its value pins";
+    }
+  });
+  if (!stray.empty()) return ::testing::AssertionFailure() << "the store holds " << stray;
+  return ::testing::AssertionSuccess();
+}
+
 TEST(ZeroCopy, OwnedApplyAliasesThePayloadAndPinsItsOwner) {
   const auto payload = std::make_shared<const std::string>(
       encode({Op::Put, "k", std::string(40, 'v'), {}}));
   KvStateMachine sm;
   EXPECT_EQ(sm.apply(*payload, payload), "OK 1");
-  const Value& v = sm.data().at("k");
+  const Value v = sm.data().at("k");
   EXPECT_EQ(v, std::string(40, 'v'));
-  // A view into the payload itself, not a copy of it.
+  // A view into the payload itself, not a copy of it; the key too.
   EXPECT_GE(v.bytes.data(), payload->data());
   EXPECT_LE(v.bytes.data() + v.bytes.size(), payload->data() + payload->size());
-  EXPECT_EQ(v.owner.get(), payload.get());
+  EXPECT_TRUE(same_owner(v.owner, payload));
+  EXPECT_TRUE(pairs_inside_owners(sm, {payload}));
   EXPECT_EQ(payload.use_count(), 2);
 
   // Overwriting the key drops the only reference the store held.
@@ -194,11 +235,12 @@ TEST(ZeroCopy, BatchMembersAliasTheFrame) {
   KvStateMachine sm;
   (void)sm.apply(*owned, owned);
   for (const char* key : {"a", "b"}) {
-    const Value& v = sm.data().at(key);
-    EXPECT_EQ(v.owner.get(), owned.get()) << key;
+    const Value v = sm.data().at(key);
+    EXPECT_TRUE(same_owner(v.owner, owned)) << key;
     EXPECT_GE(v.bytes.data(), owned->data()) << key;
     EXPECT_LE(v.bytes.data() + v.bytes.size(), owned->data() + owned->size()) << key;
   }
+  EXPECT_TRUE(pairs_inside_owners(sm, {owned}));
 }
 
 TEST(ZeroCopy, OwnerlessApplyCopiesWhatItStores) {
@@ -255,10 +297,11 @@ TEST(ZeroCopy, OwnedRestoreAliasesTheBlob) {
   const auto blob = std::make_shared<const std::string>(a.snapshot());
   KvStateMachine b;
   b.restore(*blob, blob);
-  const Value& v = b.data().at("k");
-  EXPECT_EQ(v.owner.get(), blob.get());
+  const Value v = b.data().at("k");
+  EXPECT_TRUE(same_owner(v.owner, blob));
   EXPECT_GE(v.bytes.data(), blob->data());
   EXPECT_LE(v.bytes.data() + v.bytes.size(), blob->data() + blob->size());
+  EXPECT_TRUE(pairs_inside_owners(b, {blob}));
   EXPECT_TRUE(a == b);
 }
 
@@ -266,11 +309,12 @@ TEST(ZeroCopy, ValueEqualityIsExactContentEquality) {
   const std::string bytes = "0123456789abcdef0123";
   const std::string same = bytes;
   const std::string_view view(bytes);
-  const Value v{view, nullptr};
-  const Value aliased{view, nullptr};
-  const Value copied{same, nullptr};
-  const Value prefix{view.substr(0, 5), nullptr};  // same pointer, shorter
-  const Value shifted{std::string_view(same).substr(1), nullptr};
+  const std::shared_ptr<const char> none;
+  const Value v{view, none};
+  const Value aliased{view, none};
+  const Value copied{same, none};
+  const Value prefix{view.substr(0, 5), none};  // same pointer, shorter
+  const Value shifted{std::string_view(same).substr(1), none};
   EXPECT_TRUE(v == aliased);
   EXPECT_TRUE(v == copied);
   EXPECT_FALSE(v == prefix);
@@ -279,9 +323,78 @@ TEST(ZeroCopy, ValueEqualityIsExactContentEquality) {
   EXPECT_FALSE(v == std::string_view("0123"));
 }
 
+// ---- Keys alias the payload their value's owner pins ------------------------------
+
+/// PUT the key from payload A, then write it again from payload B with
+/// `second` (a PUT or a successful CAS). The store must let A go, and every
+/// later read of the key must find it in B: a find, a snapshot, == against a
+/// twin, a rehash that moves every slot, and a DEL.
+void second_write_moves_the_key(const KvCommand& second) {
+  const std::string key = "a-key-of-some-length";
+  KvStateMachine sm;
+  Payload a = payload_of({Op::Put, key, std::string(40, 'a'), {}});
+  ASSERT_EQ(sm.apply(*a, a), "OK 1");
+  const std::weak_ptr<const void> a_alive = a;
+  const Payload b = payload_of(second);
+  ASSERT_EQ(sm.apply(*b, b), "OK 2");
+  a.reset();
+  ASSERT_TRUE(a_alive.expired()) << "the replaced payload is still pinned";
+  std::vector<Payload> live = {b};
+  ASSERT_TRUE(pairs_inside_owners(sm, live));
+
+  ASSERT_TRUE(sm.data().find(key).has_value());
+  EXPECT_EQ(*sm.data().find(key), second.value);
+  EXPECT_EQ(sm.apply_one(encode({Op::Get, key, {}, {}})), second.value);
+
+  // A twin that wrote the same key and value from buffers of its own, and
+  // one restored from the snapshot: equal from both sides.
+  KvStateMachine twin;
+  (void)twin.apply(encode({Op::Put, key, "first", {}}));
+  (void)twin.apply(encode({Op::Put, key, second.value, {}}));
+  EXPECT_TRUE(sm == twin);
+  EXPECT_TRUE(twin == sm);
+  KvStateMachine restored;
+  restored.restore(sm.snapshot());
+  EXPECT_TRUE(sm == restored);
+  EXPECT_EQ(restored.data().at(key), second.value);
+
+  // Rehash: grow until the table doubles, which rehashes every stored key.
+  const std::size_t capacity = sm.data().capacity();
+  for (int i = 0; sm.data().capacity() == capacity; ++i) {
+    live.push_back(payload_of({Op::Put, "filler-" + std::to_string(i), "f", {}}));
+    (void)sm.apply(*live.back(), live.back());
+  }
+  ASSERT_TRUE(pairs_inside_owners(sm, live));
+  EXPECT_EQ(sm.data().at(key), second.value);
+
+  const std::weak_ptr<const void> b_alive = b;
+  live.erase(live.begin());
+  const std::string revision = std::to_string(sm.revision() + 1);
+  EXPECT_EQ(sm.apply_one(encode({Op::Del, key, {}, {}})), "OK " + revision);
+  EXPECT_EQ(sm.data().count(key), 0u);
+  EXPECT_EQ(b_alive.use_count(), 1) << "the store still pins the deleted key's payload";
+  EXPECT_TRUE(pairs_inside_owners(sm, live));
+}
+
+TEST(KeyAliasing, OverwriteMovesTheKeyToTheNewPayload) {
+  second_write_moves_the_key({Op::Put, "a-key-of-some-length", std::string(40, 'b'), {}});
+}
+
+TEST(KeyAliasing, SuccessfulCasMovesTheKeyToTheNewPayload) {
+  second_write_moves_the_key(
+      {Op::Cas, "a-key-of-some-length", std::string(40, 'c'), std::string(40, 'a')});
+}
+
 // ---- KeyIndex: the store's open-addressing key index -----------------------------
 
 using Model = std::unordered_map<std::string, std::string>;
+
+/// Store `value` under `key` from one shared buffer holding the key, then
+/// the value, as a committed PUT holds both in one payload.
+bool put_pair(KeyIndex& index, std::string_view key, std::string_view value) {
+  const auto [bytes, owner] = share(std::string(key).append(value));
+  return index.insert_or_assign(bytes.substr(0, key.size()), bytes.substr(key.size()), owner);
+}
 
 /// `count` keys "<prefix><n>" whose home slot in a table of `capacity` slots
 /// is `slot` (the index starts at the low bits of std::hash<std::string_view>).
@@ -297,13 +410,13 @@ std::vector<std::string> keys_homed_at(std::string_view prefix, std::size_t capa
 
 ::testing::AssertionResult same_lookup(const KeyIndex& index, const Model& model,
                                        const std::string& key) {
-  const Value* v = index.find(key);
+  const auto v = index.find(key);
   const auto it = model.find(key);
-  if ((v != nullptr) != (it != model.end())) {
+  if (v.has_value() != (it != model.end())) {
     return ::testing::AssertionFailure()
-           << "'" << key << "' is " << (v != nullptr ? "only in the index" : "missing");
+           << "'" << key << "' is " << (v ? "only in the index" : "missing");
   }
-  if (v != nullptr && !(*v == it->second)) {
+  if (v && !(*v == it->second)) {
     return ::testing::AssertionFailure() << "'" << key << "' holds '" << *v << "', not '"
                                          << it->second << "'";
   }
@@ -314,7 +427,8 @@ std::vector<std::string> keys_homed_at(std::string_view prefix, std::size_t capa
 }
 
 /// Every key of `alphabet` looks up the same, and for_each visits exactly
-/// the model's pairs.
+/// the model's pairs, each key still in the buffer its value's owner holds:
+/// put_pair lays a key out just before its value.
 ::testing::AssertionResult same_contents(const KeyIndex& index, const Model& model,
                                          const std::vector<std::string>& alphabet) {
   if (index.size() != model.size()) {
@@ -325,14 +439,20 @@ std::vector<std::string> keys_homed_at(std::string_view prefix, std::size_t capa
   }
   std::size_t visited = 0;
   std::size_t strays = 0;
+  std::size_t detached = 0;
   index.for_each([&](std::string_view key, const Value& value) {
     ++visited;
+    if (key.data() + key.size() != value.bytes.data()) {
+      ++detached;
+      return;
+    }
     const auto it = model.find(std::string(key));
     if (it == model.end() || !(value == it->second)) ++strays;
   });
-  if (visited != model.size() || strays != 0) {
+  if (visited != model.size() || strays != 0 || detached != 0) {
     return ::testing::AssertionFailure() << "for_each visited " << visited << " pairs, " << strays
-                                         << " not in the model";
+                                         << " not in the model, " << detached
+                                         << " with a key outside its value's buffer";
   }
   return ::testing::AssertionSuccess();
 }
@@ -353,7 +473,7 @@ TEST(KeyIndex, EraseInsideARunThatWrapsPastTheLastSlot) {
     KeyIndex index;
     Model model;
     for (const std::string& key : keys) {
-      index.insert_or_assign(key, share(key));
+      put_pair(index, key, key);
       model.emplace(key, key);
     }
     ASSERT_EQ(index.capacity(), kCap);
@@ -366,11 +486,11 @@ TEST(KeyIndex, EraseInsideARunThatWrapsPastTheLastSlot) {
 
 TEST(KeyIndex, MatchesUnorderedMapUnderRandomOps) {
   // 120k random puts, overwrites, finds, erases and clears over a fixed
-  // alphabet of 4 000 keys (every fifth too long for the small-string
-  // buffer), checked after every op against std::unordered_map. The target
+  // alphabet of 4 000 keys (every fifth a long one), checked after every op
+  // against std::unordered_map. The target
   // size swings between empty and 2 300 keys, so the table grows from 16 to
   // 4 096 slots and drains again at that capacity. Every released value's
-  // owner must expire: each value is its own shared buffer.
+  // owner must expire: each pair is its own shared buffer.
   std::vector<std::string> alphabet;
   for (std::size_t i = 0; i < 4000; ++i) {
     alphabet.push_back(i % 5 == 0 ? "a-key-longer-than-the-sso-buffer-" + std::to_string(i)
@@ -401,13 +521,13 @@ TEST(KeyIndex, MatchesUnorderedMapUnderRandomOps) {
     return key;
   };
   const auto owner_of = [&](const std::string& key) {
-    const Value* v = index.find(key);
-    return v == nullptr ? std::weak_ptr<const void>() : std::weak_ptr<const void>(v->owner);
+    const auto v = index.find(key);
+    return v ? std::weak_ptr<const void>(v->owner) : std::weak_ptr<const void>();
   };
   const auto put = [&](const std::string& key, const std::string& value) {
     const std::weak_ptr<const void> old = owner_of(key);
     const bool existed = model.count(key) != 0;
-    ASSERT_EQ(index.insert_or_assign(key, share(value)), !existed);
+    ASSERT_EQ(put_pair(index, key, value), !existed);
     model[key] = value;
     ASSERT_TRUE(old.expired()) << "overwritten value of '" << key << "' still owned";
     if (capacities.empty() || capacities.back() != index.capacity()) {
@@ -433,7 +553,7 @@ TEST(KeyIndex, MatchesUnorderedMapUnderRandomOps) {
     // Equality ignores layout: a twin built in another order is equal, and
     // neither a strict subset nor a changed value is, from either side.
     KeyIndex twin;
-    for (const auto& [key, value] : model) twin.insert_or_assign(key, share(value));
+    for (const auto& [key, value] : model) put_pair(twin, key, value);
     ASSERT_TRUE(index == twin);
     ASSERT_TRUE(twin == index);
     const KeyIndex copy = index;
@@ -444,7 +564,7 @@ TEST(KeyIndex, MatchesUnorderedMapUnderRandomOps) {
     twin.erase(key);
     ASSERT_FALSE(index == twin);
     ASSERT_FALSE(twin == index);
-    twin.insert_or_assign(key, share(value + "'"));
+    put_pair(twin, key, value + "'");
     ASSERT_FALSE(index == twin);
     ASSERT_FALSE(twin == index);
   };

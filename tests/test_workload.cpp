@@ -1,7 +1,12 @@
-// Open-loop workload generator: rates, latency floor, saturation behaviour.
+// Open-loop workload generator: rates, latency floor, saturation behaviour;
+// and the client session it drives, whose pending table grows on demand.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "cluster/cluster.hpp"
+#include "kvstore/client.hpp"
 #include "shard/client.hpp"
 #include "workload/open_loop.hpp"
 
@@ -107,6 +112,49 @@ TEST(OpenLoop, HigherServiceTimeLowersPeak) {
   const double slow = run(from_ms(1.25));
   EXPECT_GT(fast, slow);
   EXPECT_NEAR(slow / fast, 0.8, 0.1);
+}
+
+TEST(KvClient, PendingTableGrowsFromOneSlotWithCallbacksLive) {
+  // A client's pending table starts at one slot. 100 ops submitted while
+  // the leader is paused are all in flight at once, so the table doubles
+  // seven times with their callbacks inside it; after the resume each op
+  // must complete exactly once.
+  cluster::Cluster c(cluster::make_raft_config(3, 31));
+  ASSERT_TRUE(c.await_leader(30s));
+  const NodeId leader = c.current_leader();
+  kv::KvClient client(c.sim(), c.network(), c.server_ids(), c.fork_rng(1));
+  client.set_target(leader);
+
+  constexpr int kOps = 100;
+  c.pause(leader);
+  std::vector<int> completions(kOps, 0);
+  std::vector<int> failures(kOps, 0);
+  for (int i = 0; i < kOps; ++i) {
+    client.put("k" + std::to_string(i), "v" + std::to_string(i),
+               [&completions, &failures, i](const kv::ClientResult& r) {
+                 ++completions[static_cast<std::size_t>(i)];
+                 if (!r.ok) ++failures[static_cast<std::size_t>(i)];
+               });
+  }
+  EXPECT_EQ(client.outstanding(), static_cast<std::size_t>(kOps));
+  c.sim().run_for(500ms);  // under the 1 s retry timeout: nothing retried yet
+  EXPECT_EQ(client.outstanding(), static_cast<std::size_t>(kOps));
+  EXPECT_EQ(client.completed() + client.failed(), 0u);
+
+  c.resume(leader);
+  c.sim().run_for(30s);
+  EXPECT_EQ(client.outstanding(), 0u);
+  EXPECT_EQ(client.completed(), static_cast<std::uint64_t>(kOps));
+  for (int i = 0; i < kOps; ++i) {
+    EXPECT_EQ(completions[static_cast<std::size_t>(i)], 1) << "op " << i;
+    EXPECT_EQ(failures[static_cast<std::size_t>(i)], 0) << "op " << i;
+  }
+  const NodeId now_leader = c.current_leader();
+  ASSERT_NE(now_leader, kNoNode);
+  for (int i = 0; i < kOps; ++i) {
+    EXPECT_EQ(c.state_machine(now_leader).data().at("k" + std::to_string(i)),
+              "v" + std::to_string(i));
+  }
 }
 
 }  // namespace
